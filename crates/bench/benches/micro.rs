@@ -3,7 +3,10 @@
 //! tokenizer" path: embedding, k-NN search (at catalog sizes from 46 to
 //! 4096), clustering, level construction and the full controller
 //! decision, all of which must be negligible next to a single LLM decode
-//! step (~50 ms on the Orin).
+//! step (~50 ms on the Orin). Also the serving engine's per-request
+//! execution (`Pipeline::run_query_offered`), timed on a k=3 subset and
+//! on the full catalog: it sizes prompts by arithmetic, so its cost no
+//! longer tracks the rendered size of the offered tools.
 //!
 //! ```sh
 //! cargo bench -p lim-bench --bench micro
@@ -12,8 +15,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use lim_core::{ControllerConfig, SearchLevels, ToolController};
+use lim_core::{
+    ControllerConfig, Pipeline, SearchLevels, ToolController, DEFAULT_CONTEXT, REDUCED_CONTEXT,
+};
 use lim_embed::Embedder;
+use lim_llm::{ModelProfile, Quant};
 use lim_vecstore::{FlatIndex, IvfIndex, IvfParams, Metric, VectorIndex};
 
 fn bench_embedding(c: &mut Criterion) {
@@ -87,6 +93,18 @@ fn bench_levels_and_controller(c: &mut Criterion) {
     ];
     c.bench_function("controller/select", |b| {
         b.iter(|| controller.select(black_box("convert 100 USD to EUR"), black_box(&recs)))
+    });
+
+    let model = ModelProfile::by_name("llama3.1-8b").expect("model exists");
+    let pipeline = Pipeline::new(&workload, &levels, &model, Quant::Q4KM);
+    let query = &workload.queries[0];
+    let k3 = controller.select(&query.text, &recs).tool_indices;
+    let full = levels.full_level();
+    c.bench_function("pipeline/run_query_offered/k3", |b| {
+        b.iter(|| pipeline.run_query_offered(black_box(query), black_box(&k3), REDUCED_CONTEXT))
+    });
+    c.bench_function("pipeline/run_query_offered/full", |b| {
+        b.iter(|| pipeline.run_query_offered(black_box(query), black_box(&full), DEFAULT_CONTEXT))
     });
 }
 

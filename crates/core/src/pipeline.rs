@@ -106,8 +106,8 @@ pub struct Pipeline<'a> {
     quant: Quant,
     device: DeviceProfile,
     seed: u64,
-    /// Rendered full-catalog payload, cached — it is needed on every
-    /// default-policy call and every fallback retry.
+    /// Rendered full-catalog payload; fallback retries are sized by its
+    /// length.
     full_json: String,
 }
 
@@ -245,12 +245,7 @@ impl<'a> Pipeline<'a> {
             Some(s) => s.tool_indices.clone(),
             None => self.levels.full_level(),
         };
-        let tools_json = if offered.len() == self.workload.registry.len() {
-            self.full_json.clone()
-        } else {
-            self.workload.registry.render_subset(&offered).to_string()
-        };
-        let full_json = self.full_json.as_str();
+        let tools_chars = self.workload.registry.prompt_chars(&offered);
         let context = match &selection {
             // Confidence fallback to Level 3 runs like vanilla calling.
             Some(s) if s.level == SearchLevel::Full => DEFAULT_CONTEXT,
@@ -268,8 +263,9 @@ impl<'a> Pipeline<'a> {
                 .registry
                 .index_of(&step.tool)
                 .expect("gold tool exists in registry");
-            let history = "x".repeat(step_index * HISTORY_CHARS_PER_STEP);
-            let prompt_tokens = tokens::agent_prompt_tokens(&query.text, &tools_json, &history);
+            let history_chars = step_index * HISTORY_CHARS_PER_STEP;
+            let prompt_tokens =
+                tokens::agent_prompt_tokens(query.text.len(), tools_chars, history_chars);
             let fits = prompt_tokens <= context;
             let gold_offered = offered.contains(&gold_index) && fits;
 
@@ -306,8 +302,11 @@ impl<'a> Pipeline<'a> {
                         seed: self.attempt_seed(query.id, step_index as u64, 1, policy.tag()),
                     };
                     outcome = retry.resolve();
-                    let retry_prompt =
-                        tokens::agent_prompt_tokens(&query.text, full_json, &history);
+                    let retry_prompt = tokens::agent_prompt_tokens(
+                        query.text.len(),
+                        self.full_json.len(),
+                        history_chars,
+                    );
                     self.record_call(
                         &mut meter,
                         retry_prompt,
@@ -357,6 +356,11 @@ impl<'a> Pipeline<'a> {
     /// Runs one query with a *manually fixed* tool subset and context
     /// window — the paper's Table II protocol, where 46 vs 19 tools and
     /// 16k vs 8k contexts are compared without any selection machinery.
+    ///
+    /// This is also the serving engine's per-request path, so it builds
+    /// no prompt: the tools payload is sized by the registry's
+    /// `prompt_chars` and the history by arithmetic, giving the same
+    /// token counts as rendering them.
     pub fn run_query_offered(
         &self,
         query: &Query,
@@ -365,7 +369,7 @@ impl<'a> Pipeline<'a> {
     ) -> QueryResult {
         let mut meter = EnergyMeter::new();
         let task = self.task_kind();
-        let tools_json = self.workload.registry.render_subset(offered).to_string();
+        let tools_chars = self.workload.registry.prompt_chars(offered);
         let mut success = true;
         let mut tool_correct = true;
 
@@ -375,8 +379,11 @@ impl<'a> Pipeline<'a> {
                 .registry
                 .index_of(&step.tool)
                 .expect("gold tool exists in registry");
-            let history = "x".repeat(step_index * HISTORY_CHARS_PER_STEP);
-            let prompt_tokens = tokens::agent_prompt_tokens(&query.text, &tools_json, &history);
+            let prompt_tokens = tokens::agent_prompt_tokens(
+                query.text.len(),
+                tools_chars,
+                step_index * HISTORY_CHARS_PER_STEP,
+            );
             let gold_offered = offered.contains(&gold_index) && prompt_tokens <= context_tokens;
             let attempt = CallAttempt {
                 model: self.model,

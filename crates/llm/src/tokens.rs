@@ -1,9 +1,10 @@
 //! Token estimation and prompt assembly.
 //!
-//! The simulator needs honest prompt sizes: tool schemas are rendered to
-//! real JSON by `lim-tools`, and this module converts text to token counts
-//! with the standard ≈4-characters-per-token heuristic used for
-//! Llama-family BPE vocabularies.
+//! The simulator needs honest prompt sizes: tool schemas are sized as
+//! real compact JSON by `lim-tools`, and this module converts text, or
+//! just its length, to token counts with the standard
+//! ≈4-characters-per-token heuristic used for Llama-family BPE
+//! vocabularies.
 
 /// Average characters per token for Llama-style tokenizers.
 pub const CHARS_PER_TOKEN: f64 = 4.0;
@@ -19,10 +20,25 @@ pub const CHARS_PER_TOKEN: f64 = 4.0;
 /// assert_eq!(estimate_tokens("abcdefgh"), 2);
 /// ```
 pub fn estimate_tokens(text: &str) -> u32 {
-    if text.is_empty() {
+    tokens_for_chars(text.len())
+}
+
+/// Estimates the token count of a text `chars` bytes long — the one
+/// length formula behind every estimate here, for callers that know a
+/// prompt's size without building it.
+///
+/// # Examples
+///
+/// ```
+/// use lim_llm::tokens::{estimate_tokens, tokens_for_chars};
+/// assert_eq!(tokens_for_chars(0), 0);
+/// assert_eq!(tokens_for_chars(9), estimate_tokens("abcdefghi"));
+/// ```
+pub fn tokens_for_chars(chars: usize) -> u32 {
+    if chars == 0 {
         return 0;
     }
-    ((text.len() as f64 / CHARS_PER_TOKEN).ceil() as u32).max(1)
+    ((chars as f64 / CHARS_PER_TOKEN).ceil() as u32).max(1)
 }
 
 /// The fixed agent system prompt (function-calling instructions including
@@ -41,16 +57,15 @@ No tools are attached. Reason about which tools you would ideally need and retur
 of objects, each with a \"name\" and a detailed \"functionality\" description of one ideal \
 tool. Do not attempt to answer the request itself.";
 
-/// Builds the agent prompt for one call step and returns its token count.
-///
-/// `tools_json` is the rendered schema payload from
-/// `lim_tools::ToolRegistry::render_subset`; `history` carries the
+/// Token count of the agent prompt for one call step, from the byte
+/// lengths of its parts alone: the query, the tools payload (sized by
+/// `lim_tools::ToolRegistry::prompt_chars`, without rendering it) and the
 /// accumulated results of earlier steps in a sequential chain.
-pub fn agent_prompt_tokens(query: &str, tools_json: &str, history: &str) -> u32 {
-    estimate_tokens(AGENT_SYSTEM_PROMPT)
-        + estimate_tokens(query)
-        + estimate_tokens(tools_json)
-        + estimate_tokens(history)
+pub fn agent_prompt_tokens(query: usize, tools_json: usize, history: usize) -> u32 {
+    tokens_for_chars(AGENT_SYSTEM_PROMPT.len())
+        + tokens_for_chars(query)
+        + tokens_for_chars(tools_json)
+        + tokens_for_chars(history)
 }
 
 /// Builds the recommender prompt token count (query only — no tools, which
@@ -84,9 +99,9 @@ mod tests {
 
     #[test]
     fn agent_prompt_dominated_by_tools_payload() {
-        let small = agent_prompt_tokens("what's the weather?", "[]", "");
-        let big_tools = "x".repeat(16_000);
-        let big = agent_prompt_tokens("what's the weather?", &big_tools, "");
+        let query = "what's the weather?".len();
+        let small = agent_prompt_tokens(query, "[]".len(), 0);
+        let big = agent_prompt_tokens(query, 16_000, 0);
         assert!(big > small + 3900);
     }
 

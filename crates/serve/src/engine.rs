@@ -472,8 +472,9 @@ pub struct ServeEngine {
     /// virtual arrival time (seed = `config.governor.carbon_seed`).
     pub(crate) carbon: CarbonTrace,
     /// Engine-persistent governor machine: current service rung plus the
-    /// sliding sustained-watts window. Checkpointed (always — the
-    /// estimator runs even uncapped) so a restored engine replays a
+    /// sliding sustained-watts window. Checkpointed (always — on
+    /// open-loop streams the estimator runs even uncapped; closed-loop
+    /// streams leave the window empty) so a restored engine replays a
     /// stream suffix to the byte.
     pub(crate) governor: GovernorState,
 }

@@ -256,10 +256,11 @@ pub struct FleetEngine {
     /// cadence).
     pub(crate) total_submitted: u64,
     /// Fleet-wide passive sustained-watts estimator: observes every
-    /// tenant's admitted energy (never decides — actuation is
-    /// per-tenant) so the overall report can state what the whole box
-    /// drew. Idle with one tenant, whose governor windows the same
-    /// samples. Checkpointed with the fleet section.
+    /// tenant's admitted energy on open-loop streams (never decides —
+    /// actuation is per-tenant) so the overall report can state what
+    /// the whole box drew. Idle with one tenant, whose governor windows
+    /// the same samples, and on closed-loop streams, which have no
+    /// arrival clock. Checkpointed with the fleet section.
     pub(crate) estimator: GovernorState,
 }
 
@@ -611,9 +612,10 @@ pub struct FleetSession<'e> {
     /// Governor rung transitions per tenant.
     tenant_transitions: Vec<u64>,
     /// Per-tenant sustained-watts max (each tenant's governor windows
-    /// its own admitted energy).
+    /// its own admitted energy; 0 on a closed-loop stream).
     tenant_watts_max: Vec<f64>,
-    /// Max of the fleet-wide estimator (multi-tenant streams only).
+    /// Max of the fleet-wide estimator (multi-tenant open-loop streams
+    /// only).
     fleet_watts_max: f64,
     last_arrival: f64,
 }
@@ -787,8 +789,9 @@ impl FleetSession<'_> {
         // ---- Stage 5: sequential virtual-clock admission, one offer
         // per request in global submission order. The owning tenant's
         // governor decides a rung *before* each offer (projecting the
-        // request at full fidelity against its budget) and observes the
-        // energy actually admitted *after* it — both keyed only to the
+        // request at full fidelity against its budget) and, on an
+        // open-loop stream, observes the energy actually admitted
+        // *after* it — both keyed only to the
         // virtual arrival clock and the submission order, so any worker
         // count and any batch chopping replays the identical decision
         // sequence.
@@ -849,23 +852,27 @@ impl FleetSession<'_> {
             });
             // Feed the estimators what this offer actually admitted: the
             // executed outcome's joules, or nothing for a shed request
-            // (which still advances the window's clock).
-            let shed_now = resolved.contains(&(index, Disposition::Shed));
-            let admitted_joules = if shed_now { 0.0 } else { outcome.joules };
-            let engine = &mut self.host.engines_mut()[tenant];
-            let watts = engine
-                .governor
-                .observe(&governor, arrival_s, admitted_joules);
-            if watts > self.tenant_watts_max[tenant] {
-                self.tenant_watts_max[tenant] = watts;
-            }
-            if let Some(fleet) = self.host.multi_tenant() {
-                let fleet_watts =
-                    fleet
-                        .estimator
-                        .observe(&self.base_governor, arrival_s, admitted_joules);
-                if fleet_watts > self.fleet_watts_max {
-                    self.fleet_watts_max = fleet_watts;
+            // (which still advances the window's clock). Sustained watts
+            // is a rate over arrival time, so a closed-loop stream, which
+            // has no arrival clock, feeds neither estimator.
+            if self.open_loop {
+                let shed_now = resolved.contains(&(index, Disposition::Shed));
+                let admitted_joules = if shed_now { 0.0 } else { outcome.joules };
+                let engine = &mut self.host.engines_mut()[tenant];
+                let watts = engine
+                    .governor
+                    .observe(&governor, arrival_s, admitted_joules);
+                if watts > self.tenant_watts_max[tenant] {
+                    self.tenant_watts_max[tenant] = watts;
+                }
+                if let Some(fleet) = self.host.multi_tenant() {
+                    let fleet_watts =
+                        fleet
+                            .estimator
+                            .observe(&self.base_governor, arrival_s, admitted_joules);
+                    if fleet_watts > self.fleet_watts_max {
+                        self.fleet_watts_max = fleet_watts;
+                    }
                 }
             }
             for (idx, disposition) in resolved {

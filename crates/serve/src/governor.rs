@@ -16,8 +16,9 @@
 //!   the engine's behaviour is byte-identical to an ungoverned build.
 //! * [`GovernorState`] — the engine-persistent machine: the current
 //!   [`ServiceLevel`] rung plus a sliding window of `(arrival, joules)`
-//!   samples on the **virtual arrival clock**. Checkpoints carry it, so
-//!   a restored engine replays the suffix of a stream to the byte.
+//!   samples on the **virtual arrival clock**, fed by open-loop streams
+//!   only. Checkpoints carry it, so a restored engine replays the
+//!   suffix of a stream to the byte.
 //!
 //! # The sustained-watts estimator
 //!
@@ -26,9 +27,14 @@
 //! deliberately not "power while busy": a quant step-down shrinks both
 //! joules and seconds of a call, so busy-power barely moves, but the
 //! energy drawn per wall-second of *workload* drops — which is what a
-//! battery or a power cap actually integrates. The estimator always
-//! runs (reports carry `sustained_watts_max` even uncapped); only the
-//! *decision* step is gated on [`GovernorConfig::active`].
+//! battery or a power cap actually integrates. The estimator runs on
+//! every open-loop stream (reports carry `sustained_watts_max` even
+//! uncapped); only the *decision* step is gated on
+//! [`GovernorConfig::active`]. A closed-loop (back-to-back) stream has
+//! no arrival clock: every sample would land at the same instant and
+//! none would ever leave the window, so such a stream runs neither the
+//! estimator nor the decision, leaves the window as it found it, and
+//! reports `sustained_watts_max` as 0.
 //!
 //! # The decision rule
 //!
@@ -145,7 +151,8 @@ impl GovernorConfig {
 }
 
 /// The engine-persistent governor machine: current rung, virtual clock,
-/// and the sliding window of admitted-energy samples.
+/// and the sliding window of admitted-energy samples. Only open-loop
+/// streams observe into it; a closed-loop stream leaves it untouched.
 ///
 /// The window sum is recomputed front-to-back at every use instead of
 /// being maintained incrementally: an incremental sum accumulates

@@ -58,8 +58,9 @@ pub const SECTION_CATALOG: &str = "catalog_log";
 /// Checkpoint section holding the energy governor's live state: the
 /// current service rung, the virtual clock, and the resident
 /// sliding-window `(arrival, joules)` samples. Always written — the
-/// sustained-watts estimator runs even when no cap is set — so a warm
-/// boot converges to the byte with the engine that never restarted.
+/// sustained-watts estimator runs on open-loop streams even when no cap
+/// is set — so a warm boot converges to the byte with the engine that
+/// never restarted. Closed-loop streams leave the window untouched.
 pub const SECTION_GOVERNOR: &str = "governor";
 /// Fleet-checkpoint section recording the tenancy state: tenant count,
 /// cache budgets and floors, the rebalance cadence, and the cumulative

@@ -2365,3 +2365,63 @@ proptest! {
         prop_assert_eq!(a.deterministic_view(), b.deterministic_view());
     }
 }
+
+/// A closed-loop stream has no arrival clock, so nothing would ever
+/// leave a sustained-watts window: neither a tenant governor nor the
+/// fleet-wide estimator observes it. However long the stream, every
+/// window stays empty, the checkpointed governor state is the same
+/// bytes, and the report's sustained watts read 0.
+#[test]
+fn closed_loop_streams_leave_every_governor_window_empty() {
+    use crate::snapshot::SECTION_GOVERNOR;
+    let (w, levels) = fixture();
+    let governor_section = |requests: usize| {
+        let mut engine =
+            ServeEngine::with_levels(w.clone(), levels.clone(), model(), ServeConfig::default());
+        let mut stream = engine.begin_stream(
+            StreamMeta {
+                trace_seed: 5,
+                zipf_s: 1.0,
+                arrivals: ArrivalProcess::BackToBack,
+                sessions: None,
+            },
+            2,
+        );
+        for i in 0..requests {
+            stream
+                .submit(StreamRequest {
+                    session: (i % 64) as u64,
+                    query_index: (i * 7) % w.queries.len(),
+                    arrival_s: None,
+                })
+                .expect("valid request");
+            if i % 256 == 255 {
+                stream.drain();
+            }
+        }
+        let report = stream.finish();
+        assert_eq!(report.requests, requests);
+        assert_eq!(report.energy.sustained_watts_max, 0.0);
+        assert!(engine.governor.window().is_empty(), "requests={requests}");
+        Snapshot::parse(&engine.checkpoint())
+            .expect("valid checkpoint")
+            .section(SECTION_GOVERNOR)
+            .expect("governor section decodes")
+            .to_string()
+    };
+    assert_eq!(governor_section(512), governor_section(4096));
+
+    let mut fleet = fleet_for(2, ServeConfig::default());
+    let report = fleet
+        .process_trace(&fleet_trace(2, 1.0, 5, 64, ArrivalProcess::BackToBack), 2)
+        .expect("valid trace");
+    assert!(fleet.estimator.window().is_empty());
+    for engine in &fleet.engines {
+        assert!(engine.governor.window().is_empty());
+    }
+    assert_eq!(report.overall.energy.sustained_watts_max, 0.0);
+    assert_eq!(report.tenants.len(), 2);
+    for tenant in &report.tenants {
+        assert_eq!(tenant.report.energy.sustained_watts_max, 0.0);
+    }
+}

@@ -49,6 +49,9 @@ impl Error for RegistryError {}
 pub struct ToolRegistry {
     tools: Vec<ToolSpec>,
     by_name: HashMap<String, usize>,
+    /// Compact rendered length of each tool's schema, parallel to
+    /// `tools`; what [`ToolRegistry::prompt_chars`] sums.
+    schema_chars: Vec<usize>,
 }
 
 impl ToolRegistry {
@@ -81,6 +84,7 @@ impl ToolRegistry {
         }
         let index = self.tools.len();
         self.by_name.insert(spec.name().to_owned(), index);
+        self.schema_chars.push(spec.schema_json().to_string().len());
         self.tools.push(spec);
         Ok(index)
     }
@@ -159,8 +163,20 @@ impl ToolRegistry {
     /// Size in characters of the rendered subset — the quantity that
     /// drives prompt length, and therefore latency and energy, in the
     /// device model.
+    ///
+    /// Computed by arithmetic, without rendering: the compact array is
+    /// its members' schema lengths (recorded once at
+    /// [`ToolRegistry::register`]), one comma between neighbours, and
+    /// two brackets. Like [`ToolRegistry::render_subset`], unknown
+    /// indices are skipped and duplicates counted, so an empty subset
+    /// is `"[]"`, 2 characters. A property test pins this against
+    /// `render_subset(indices).to_string().len()`.
     pub fn prompt_chars(&self, indices: &[usize]) -> usize {
-        self.render_subset(indices).to_string().len()
+        let (members, chars) = indices
+            .iter()
+            .filter_map(|i| self.schema_chars.get(*i))
+            .fold((0usize, 0), |(n, sum), len| (n + 1, sum + len));
+        chars + members.saturating_sub(1) + 2
     }
 }
 

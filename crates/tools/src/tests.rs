@@ -1,8 +1,21 @@
 //! Crate-level behaviour and property tests.
 
+use std::sync::OnceLock;
+
 use crate::{ParamSpec, ParamType, RegistryError, ToolCall, ToolRegistry, ToolSpec};
 use lim_json::Value;
+use lim_llm::tokens::{agent_prompt_tokens, estimate_tokens, AGENT_SYSTEM_PROMPT};
+use lim_workloads::churn::synthetic_tool;
+use lim_workloads::{bfcl, geoengine, Workload};
 use proptest::prelude::*;
+
+/// The bfcl and geoengine catalogs, built once. They come through
+/// `lim-workloads`, which links its own build of this crate, so the
+/// registry under test is the one the pipeline uses.
+fn catalogs() -> &'static [Workload; 2] {
+    static CATALOGS: OnceLock<[Workload; 2]> = OnceLock::new();
+    CATALOGS.get_or_init(|| [bfcl(1, 1), geoengine(1, 1)])
+}
 
 #[test]
 fn full_catalog_rendering_is_valid_json() {
@@ -61,6 +74,41 @@ proptest! {
         let mut bigger = base.clone();
         bigger.push(1 + extra);
         prop_assert!(reg.prompt_chars(&bigger) > reg.prompt_chars(&base));
+    }
+
+    /// prompt_chars is arithmetic over the lengths recorded at register,
+    /// and must equal the rendered payload's length for any index list:
+    /// empty, with duplicates, or reaching past the catalog, on either
+    /// benchmark catalog and after live registrations with arbitrary
+    /// description text. The token count built from lengths alone must
+    /// equal the sum of the rendered strings' token estimates.
+    #[test]
+    fn prompt_chars_is_the_rendered_length(
+        catalog in 0usize..2,
+        indices in prop::collection::vec(0usize..64, 0..24),
+        registered in 0usize..4,
+        seed in any::<u64>(),
+        description in "\\PC{0,40}",
+        query in "\\PC{0,80}",
+        steps in 0usize..4,
+    ) {
+        let mut registry = catalogs()[catalog].registry.clone();
+        for n in 0..registered {
+            let mut doc = synthetic_tool(seed, n);
+            doc.description.clone_from(&description);
+            registry.register(doc.to_spec()).expect("probe names are unique");
+        }
+        let rendered = registry.render_subset(&indices).to_string();
+        let chars = registry.prompt_chars(&indices);
+        prop_assert_eq!(chars, rendered.len());
+        let history = "x".repeat(steps * 320);
+        prop_assert_eq!(
+            agent_prompt_tokens(query.len(), chars, history.len()),
+            estimate_tokens(AGENT_SYSTEM_PROMPT)
+                + estimate_tokens(&query)
+                + estimate_tokens(&rendered)
+                + estimate_tokens(&history)
+        );
     }
 
     /// validate_call accepts exactly the calls constructed from the schema

@@ -53,7 +53,9 @@
 //!   --tolerance F                relative regression budget (default 0.10)
 //! ```
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use lessismore::cli::{self, Options};
 use lessismore::core::{evaluate, normalize_against, LevelsConfig, Pipeline, Policy, SearchLevels};
@@ -61,7 +63,66 @@ use lessismore::llm::{profiles, ModelProfile, Quant};
 use lessismore::workloads::trace::ArrivalProcess;
 use lessismore::workloads::{bfcl, geoengine, Workload};
 
+/// Set once stdout's reader has gone away or a write to it failed;
+/// later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+/// Set when a write to stdout failed for a reason other than its reader
+/// going away; `main` then exits 1 once the command has finished.
+static STDOUT_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// The one stdout writer behind `out!` and `outln!`. No write error ends
+/// the command early: the rest of the output is dropped, and the command
+/// still finishes its work, so every file it was asked to write gets
+/// written. A reader that closes early (`lim … | head`) is not a failure
+/// and changes no exit code. Any other error is reported once, and `main`
+/// exits 1 after the command.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        stdout_failed(e);
+    }
+}
+
+/// Records a failed stdout write: output stops, and anything but a
+/// closed reader makes the process exit 1 at the end.
+fn stdout_failed(e: std::io::Error) {
+    STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    if e.kind() != ErrorKind::BrokenPipe {
+        eprintln!("error: cannot write to stdout: {e}");
+        STDOUT_FAILED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
+    let code = run();
+    if !STDOUT_CLOSED.load(Ordering::Relaxed) {
+        if let Err(e) = std::io::stdout().lock().flush() {
+            stdout_failed(e);
+        }
+    }
+    if STDOUT_FAILED.load(Ordering::Relaxed) {
+        return ExitCode::FAILURE;
+    }
+    code
+}
+
+fn run() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("usage: lim <models|evaluate|trace|levels> [options] (see --help)");
@@ -101,7 +162,7 @@ fn main() -> ExitCode {
 }
 
 fn print_help() {
-    println!("{}", cli::help_text());
+    outln!("{}", cli::help_text());
 }
 
 /// Builds the search levels on the backend selected by `--index`.
@@ -131,14 +192,22 @@ fn resolve_model(options: &Options) -> Result<ModelProfile, String> {
 }
 
 fn cmd_models() -> ExitCode {
-    println!(
+    outln!(
         "{:<16} {:>7} {:>9} {:>10} {:>12}",
-        "name", "params", "tool-base", "arg-fid", "rec-quality"
+        "name",
+        "params",
+        "tool-base",
+        "arg-fid",
+        "rec-quality"
     );
     for m in profiles::catalog() {
-        println!(
+        outln!(
             "{:<16} {:>6.1}B {:>9.3} {:>10.3} {:>12.2}",
-            m.name, m.arch.params_b, m.base_tool_competence, m.arg_fidelity, m.recommender_quality
+            m.name,
+            m.arch.params_b,
+            m.base_tool_competence,
+            m.arg_fidelity,
+            m.recommender_quality
         );
     }
     ExitCode::SUCCESS
@@ -159,7 +228,7 @@ fn cmd_evaluate(options: &Options) -> ExitCode {
     let baseline = evaluate(&pipeline, Policy::Default);
     let metrics = evaluate(&pipeline, options.policy);
     let (time, power) = normalize_against(&baseline, &metrics);
-    println!(
+    outln!(
         "benchmark={} model={} quant={} policy={} queries={}",
         workload.name,
         model.name,
@@ -167,18 +236,20 @@ fn cmd_evaluate(options: &Options) -> ExitCode {
         options.policy.label(),
         metrics.queries
     );
-    println!("success rate       {:>8.2}%", 100.0 * metrics.success_rate);
-    println!("tool accuracy      {:>8.2}%", 100.0 * metrics.tool_accuracy);
-    println!(
+    outln!("success rate       {:>8.2}%", 100.0 * metrics.success_rate);
+    outln!("tool accuracy      {:>8.2}%", 100.0 * metrics.tool_accuracy);
+    outln!(
         "avg exec time      {:>8.2} s (norm {:.2}x)",
-        metrics.avg_seconds, time
+        metrics.avg_seconds,
+        time
     );
-    println!(
+    outln!(
         "avg power          {:>8.2} W (norm {:.2}x)",
-        metrics.avg_power_w, power
+        metrics.avg_power_w,
+        power
     );
-    println!("avg offered tools  {:>8.1}", metrics.avg_offered_tools);
-    println!(
+    outln!("avg offered tools  {:>8.1}", metrics.avg_offered_tools);
+    outln!(
         "level shares       L1 {:.0}% / L2 {:.0}% / L3 {:.0}%  fallback {:.0}%",
         100.0 * metrics.level1_share,
         100.0 * metrics.level2_share,
@@ -272,8 +343,8 @@ fn cmd_bench(options: &Options) -> ExitCode {
             ratio(c.norm_power),
         ]);
     }
-    table.print();
-    println!(
+    out!("{}", table.render());
+    outln!(
         "swept {} cells x {} queries in {:.2}s wall-clock",
         cells.len(),
         options.queries,
@@ -292,7 +363,7 @@ fn cmd_bench(options: &Options) -> ExitCode {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     ExitCode::SUCCESS
 }
@@ -340,8 +411,8 @@ fn cmd_bench_ann(options: &Options) -> ExitCode {
             format!("{:.3}", c.recall_at_10),
         ]);
     }
-    table.print();
-    println!(
+    out!("{}", table.render());
+    outln!(
         "swept {} cells in {:.2}s wall-clock (tracked metrics are seeded; \
          wall-clock columns are informational)",
         cells.len(),
@@ -354,7 +425,7 @@ fn cmd_bench_ann(options: &Options) -> ExitCode {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     ExitCode::SUCCESS
 }
@@ -391,7 +462,7 @@ fn cmd_trace(options: &Options) -> ExitCode {
         "seconds",
         lessismore::json::Value::from(result.cost.seconds),
     );
-    println!("{}", doc.to_pretty_string());
+    outln!("{}", doc.to_pretty_string());
     ExitCode::SUCCESS
 }
 
@@ -429,8 +500,8 @@ fn print_serve_report(report: &lessismore::serve::ServeReport) {
         pct(report.selection_memo.hit_rate()),
         format!("{:.0}", report.requests_per_second),
     ]);
-    table.print();
-    println!(
+    out!("{}", table.render());
+    outln!(
         "unique queries {} | session fast hits {} | embed {}h/{}m/{}e | memo {}h/{}m/{}e | wall {:.2}s",
         report.unique_queries,
         report.session_fast_hits,
@@ -443,7 +514,7 @@ fn print_serve_report(report: &lessismore::serve::ServeReport) {
         report.wall_seconds
     );
     let b = &report.boot;
-    println!(
+    outln!(
         "boot: {} | level build {} | prewarm {} | sim boot {:.4}s | warm entries embed {} / memo {}",
         b.mode,
         if b.build_skipped { "skipped" } else { "ran" },
@@ -454,7 +525,7 @@ fn print_serve_report(report: &lessismore::serve::ServeReport) {
     );
     let c = &report.catalog;
     if c.epoch > 0 {
-        println!(
+        outln!(
             "catalog: epoch {} | +{} tools / -{} tools | tombstones {} | compactions {} | \
              cluster refreshes {} | memo strandings {}",
             c.epoch,
@@ -467,7 +538,7 @@ fn print_serve_report(report: &lessismore::serve::ServeReport) {
         );
     }
     let e = &report.energy;
-    println!(
+    outln!(
         "energy: {} | J/req p50 {:.2} p95 {:.2} | sustained {:.2} W max{} | \
          {:.1} gCO2/1k req | governor transitions {}",
         e.device,
@@ -484,7 +555,7 @@ fn print_serve_report(report: &lessismore::serve::ServeReport) {
     );
     let a = &report.admission;
     if a.queue_depth > 0 {
-        println!(
+        outln!(
             "admission: {} | queue {} x{} srv | wait p50 {:.2}s p95 {:.2}s p99 {:.2}s | \
              max depth {} | degraded {} | shed {} ({})",
             a.arrivals,
@@ -647,14 +718,14 @@ fn run_serve(
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let Some(path) = &options.snapshots.save_checkpoint {
         if let Err(e) = std::fs::write(path, checkpoint_bytes(&engine)) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("wrote checkpoint {path}");
+        outln!("wrote checkpoint {path}");
     }
     ExitCode::SUCCESS
 }
@@ -663,10 +734,10 @@ fn run_serve(
 /// and the current cache grants against their QoS floors — the numbers
 /// the isolation guarantee is stated in.
 fn print_fleet_tenants(report: &lessismore::serve::FleetReport) {
-    println!("tenants ({}):", report.tenants.len());
+    outln!("tenants ({}):", report.tenants.len());
     for t in &report.tenants {
         let r = &t.report;
-        println!(
+        outln!(
             "  t{}: {} req / {} sessions | success {:.1}% | shed {} | embed {}h/{}m/{}e \
              cap {} (floor {}) | memo cap {} (floor {})",
             t.tenant,
@@ -731,7 +802,7 @@ fn cmd_snapshot_build(options: &Options) -> ExitCode {
         eprintln!("error: cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
-    println!(
+    outln!(
         "wrote {out}: {} ({} tools, {} clusters, {} bytes)",
         lessismore::core::SNAPSHOT_FORMAT,
         levels.tool_count(),
@@ -763,7 +834,7 @@ fn cmd_snapshot_inspect(options: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
+    outln!(
         "{path}: {} kind {} ({} payload bytes)",
         lessismore::core::SNAPSHOT_FORMAT,
         snapshot.kind(),
@@ -778,7 +849,7 @@ fn cmd_snapshot_inspect(options: &Options) -> ExitCode {
         "dim",
     ] {
         if let Some(v) = snapshot.header_field(key) {
-            println!("  {key}: {v}");
+            outln!("  {key}: {v}");
         }
     }
     // Decode the index section (only) so the operator can see which
@@ -799,9 +870,9 @@ fn cmd_snapshot_inspect(options: &Options) -> ExitCode {
             (kind, vectors)
         });
     if let Some((kind, vectors)) = &index_note {
-        println!("  index: {kind} ({vectors} vectors)");
+        outln!("  index: {kind} ({vectors} vectors)");
     }
-    println!(
+    outln!(
         "  sections ({} of {} decoded):",
         snapshot.decoded_sections().len(),
         snapshot.section_names().len()
@@ -813,7 +884,7 @@ fn cmd_snapshot_inspect(options: &Options) -> ExitCode {
             }
             _ => String::new(),
         };
-        println!(
+        outln!(
             "    {name:<12} {:>9} bytes{annotation}",
             snapshot.section_len(name).unwrap_or(0)
         );
@@ -863,7 +934,7 @@ fn cmd_loadgen(options: &Options) -> ExitCode {
     } else {
         trace
     };
-    println!(
+    outln!(
         "generated trace: {} sessions, {} requests, {} unique queries (zipf {:.2}, pool {}, arrivals {})",
         trace.sessions.len(),
         trace.requests(),
@@ -873,13 +944,14 @@ fn cmd_loadgen(options: &Options) -> ExitCode {
         trace.arrivals.label()
     );
     if trace.tenants > 1 {
-        println!(
+        outln!(
             "fleet: {} tenants, traffic skew {:.2} (tenant 0 hottest)",
-            trace.tenants, options.tenant_skew
+            trace.tenants,
+            options.tenant_skew
         );
     }
     if !trace.churn.is_empty() {
-        println!(
+        outln!(
             "stamped {} catalog mutations (churn seed {})",
             trace.churn.len(),
             options.churn_seed
@@ -911,7 +983,7 @@ fn cmd_loadgen(options: &Options) -> ExitCode {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     run_serve(options, workload, &trace, options.seed)
 }
@@ -1454,7 +1526,7 @@ fn cmd_wire(options: &Options) -> ExitCode {
                 trace.churn.len()
             );
         }
-        None => print!("{stream}"),
+        None => out!("{stream}"),
     }
     ExitCode::SUCCESS
 }
@@ -1479,7 +1551,7 @@ fn cmd_compare(options: &Options) -> ExitCode {
     };
     match compare_documents(&baseline, &current, options.tolerance) {
         Ok(regressions) if regressions.is_empty() => {
-            println!(
+            outln!(
                 "ok: {current_path} within {:.0}% of {baseline_path}",
                 100.0 * options.tolerance
             );
@@ -1512,7 +1584,7 @@ fn cmd_levels(options: &Options) -> ExitCode {
         }
     };
     let levels = build_levels(options, &workload);
-    println!(
+    outln!(
         "built levels for {} ({} index): {} tools, {} clusters",
         workload.name,
         levels.tool_index().kind(),

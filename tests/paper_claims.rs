@@ -94,7 +94,6 @@ fn table2_configuration_ladder_reproduces() {
 }
 
 #[test]
-#[ignore = "slow full-figure sweep; CI runs it in the ignored-tests job (cargo test -- --ignored)"]
 fn figure2_shape_for_all_six_models() {
     // For every model: LiM is never slower than default, never draws more
     // power, and for every model except Mistral improves success.
@@ -127,7 +126,6 @@ fn figure2_shape_for_all_six_models() {
 }
 
 #[test]
-#[ignore = "slow full-figure sweep; CI runs it in the ignored-tests job (cargo test -- --ignored)"]
 fn figure3_shape_for_the_four_kept_models() {
     let workload = geoengine(SEED, N);
     let levels = SearchLevels::build(&workload);
