@@ -1,7 +1,8 @@
 //! **M1** — Criterion micro-benchmarks backing the paper's claim that the
 //! similarity machinery is "an inexpensive, pretrained embedding
 //! tokenizer" path: embedding, k-NN search (at catalog sizes from 46 to
-//! 4096), clustering, level construction and the full controller
+//! 4096, flat, IVF and HNSW), HNSW graph construction, clustering, level
+//! construction and the full controller
 //! decision, all of which must be negligible next to a single LLM decode
 //! step (~50 ms on the Orin). Also the serving engine's per-request
 //! execution (`Pipeline::run_query_offered`), timed on a k=3 subset and
@@ -20,7 +21,7 @@ use lim_core::{
 };
 use lim_embed::Embedder;
 use lim_llm::{ModelProfile, Quant};
-use lim_vecstore::{FlatIndex, IvfIndex, IvfParams, Metric, VectorIndex};
+use lim_vecstore::{FlatIndex, HnswIndex, HnswParams, IvfIndex, IvfParams, Metric, VectorIndex};
 
 fn bench_embedding(c: &mut Criterion) {
     let embedder = Embedder::new();
@@ -63,9 +64,35 @@ fn bench_knn(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("ivf", size), &ivf, |b, idx| {
                 b.iter(|| idx.search(black_box(query.as_slice()), 3))
             });
+            let hnsw =
+                HnswIndex::train(embedder.dim(), Metric::Cosine, HnswParams::default(), &refs)
+                    .expect("training data is valid");
+            group.bench_with_input(BenchmarkId::new("hnsw", size), &hnsw, |b, idx| {
+                b.iter(|| idx.search(black_box(query.as_slice()), 3))
+            });
         }
     }
     group.finish();
+
+    // Graph construction scores every candidate link through the same
+    // kernel, with both sides' norms stored.
+    let data: Vec<(u64, Vec<f32>)> = (0..1024u64)
+        .map(|i| {
+            let text = format!("synthetic tool number {i} doing task {}", i % 17);
+            (i, embedder.embed(&text).as_slice().to_vec())
+        })
+        .collect();
+    let refs: Vec<(u64, &[f32])> = data.iter().map(|(i, v)| (*i, v.as_slice())).collect();
+    c.bench_function("hnsw/build/1024", |b| {
+        b.iter(|| {
+            HnswIndex::train(
+                embedder.dim(),
+                Metric::Cosine,
+                HnswParams::default(),
+                black_box(&refs),
+            )
+        })
+    });
 }
 
 fn bench_clustering(c: &mut Criterion) {

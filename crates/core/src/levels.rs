@@ -70,9 +70,8 @@ impl ToolIndex {
                 index
                     .cells()
                     .iter()
-                    .flatten()
-                    .filter(|(id, _)| !index.tombstones().contains(id))
-                    .map(|(id, v)| (*id, v.as_slice())),
+                    .flat_map(|cell| cell.iter())
+                    .filter(|(id, _)| !index.tombstones().contains(id)),
             ),
             ToolIndex::Hnsw(index) => Box::new(index.iter()),
         }

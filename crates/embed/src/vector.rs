@@ -4,10 +4,12 @@ use std::fmt;
 
 /// A dense latent-space vector produced by [`crate::Embedder`].
 ///
-/// Non-empty embeddings are L2-normalised at construction, so
-/// [`Embedding::cosine`] reduces to a dot product — mirroring how FAISS
-/// inner-product search is used for cosine similarity in the paper's
-/// controller.
+/// Non-empty embeddings are L2-normalised at construction, and
+/// [`Embedding::cosine`] takes their dot product as the cosine, which
+/// holds up to rounding. The controller's k-NN search does not rely on
+/// the normalisation: `lim-vecstore`'s cosine metric divides the dot
+/// product by both vectors' norms, exactly as [`crate::similarity::cosine`]
+/// does.
 #[derive(Clone, PartialEq)]
 pub struct Embedding {
     values: Vec<f32>,

@@ -346,7 +346,7 @@ pub fn error_frame(message: &str) -> Value {
     ])
 }
 
-/// Builds the final `report` frame: the ordinary `lim-serve/report-v2`
+/// Builds the final `report` frame: the ordinary `lim-serve/report-v5`
 /// document with an additive `"frame": "report"` tag, so the stream's
 /// last line parses both as a wire frame and as a report file.
 pub fn report_frame(report: &ServeReport) -> Value {

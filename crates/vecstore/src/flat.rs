@@ -1,13 +1,14 @@
 //! Brute-force exact index.
 
 use crate::neighbor::top_k;
-use crate::{IndexError, Metric, Neighbor, VectorIndex};
+use crate::{IndexError, Metric, Neighbor, Postings, VectorIndex};
 
 /// Exact k-NN index that scans every stored vector.
 ///
 /// This is what FAISS's `IndexFlat` does, and at tool-catalog scale it is
 /// both the fastest and the simplest correct choice. Vectors are stored in
-/// one contiguous buffer for cache-friendly scans.
+/// one contiguous buffer for cache-friendly scans, each with its norm
+/// (see [`Postings`]).
 ///
 /// # Examples
 ///
@@ -27,10 +28,9 @@ use crate::{IndexError, Metric, Neighbor, VectorIndex};
 pub struct FlatIndex {
     dim: usize,
     metric: Metric,
-    ids: Vec<u64>,
-    data: Vec<f32>,
-    /// Tombstoned ids in removal order; still present in `ids`/`data`
-    /// until compaction rewrites the buffers.
+    postings: Postings,
+    /// Tombstoned ids in removal order; still present in `postings`
+    /// until compaction rewrites them.
     deleted: Vec<u64>,
 }
 
@@ -45,8 +45,7 @@ impl FlatIndex {
         Self {
             dim,
             metric,
-            ids: Vec::new(),
-            data: Vec::new(),
+            postings: Postings::with_capacity(dim, 0),
             deleted: Vec::new(),
         }
     }
@@ -70,11 +69,10 @@ impl FlatIndex {
                 got: vector.len(),
             });
         }
-        if self.ids.contains(&id) {
+        if self.postings.contains(id) {
             return Err(IndexError::DuplicateId(id));
         }
-        self.ids.push(id);
-        self.data.extend_from_slice(vector);
+        self.postings.push(id, vector);
         Ok(())
     }
 
@@ -89,12 +87,13 @@ impl FlatIndex {
     /// [`IndexError::UnknownId`] if `id` was never added or is already
     /// tombstoned.
     pub fn remove(&mut self, id: u64) -> Result<bool, IndexError> {
-        if !self.ids.contains(&id) || self.deleted.contains(&id) {
+        if !self.postings.contains(id) || self.deleted.contains(&id) {
             return Err(IndexError::UnknownId(id));
         }
         self.deleted.push(id);
-        if crate::compaction_due(self.deleted.len(), self.ids.len()) {
-            self.compact();
+        if crate::compaction_due(self.deleted.len(), self.postings.len()) {
+            self.postings.remove_all(&self.deleted);
+            self.deleted.clear();
             return Ok(true);
         }
         Ok(false)
@@ -103,23 +102,6 @@ impl FlatIndex {
     /// Tombstoned ids in removal order (empty right after a compaction).
     pub fn tombstones(&self) -> &[u64] {
         &self.deleted
-    }
-
-    /// Rewrites the buffers keeping only live vectors, in their original
-    /// insertion order, and clears the tombstone list.
-    fn compact(&mut self) {
-        let dim = self.dim;
-        let mut ids = Vec::with_capacity(self.ids.len() - self.deleted.len());
-        let mut data = Vec::with_capacity(ids.capacity() * dim);
-        for (i, id) in self.ids.iter().enumerate() {
-            if !self.deleted.contains(id) {
-                ids.push(*id);
-                data.extend_from_slice(&self.data[i * dim..(i + 1) * dim]);
-            }
-        }
-        self.ids = ids;
-        self.data = data;
-        self.deleted.clear();
     }
 
     /// Adds a batch of `(id, vector)` pairs.
@@ -148,10 +130,7 @@ impl FlatIndex {
     /// including tombstoned entries — the persistence view (see
     /// [`crate::serial`]), which must capture tombstones exactly.
     pub fn iter_all(&self) -> impl Iterator<Item = (u64, &[f32])> + '_ {
-        self.ids
-            .iter()
-            .enumerate()
-            .map(move |(i, id)| (*id, &self.data[i * self.dim..(i + 1) * self.dim]))
+        self.postings.iter()
     }
 
     /// Returns the stored vector for `id`, if present and live.
@@ -159,8 +138,7 @@ impl FlatIndex {
         if self.deleted.contains(&id) {
             return None;
         }
-        let pos = self.ids.iter().position(|x| *x == id)?;
-        Some(&self.data[pos * self.dim..(pos + 1) * self.dim])
+        Some(self.postings.vector(self.postings.position(id)?))
     }
 
     /// Searches and also reports how many vector-distance evaluations the
@@ -174,7 +152,7 @@ impl FlatIndex {
 impl VectorIndex for FlatIndex {
     /// Number of **live** vectors; tombstoned entries do not count.
     fn len(&self) -> usize {
-        self.ids.len() - self.deleted.len()
+        self.postings.len() - self.deleted.len()
     }
 
     fn dim(&self) -> usize {
@@ -183,11 +161,8 @@ impl VectorIndex for FlatIndex {
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let candidates = self
-            .iter()
-            .map(|(id, v)| Neighbor::new(id, self.metric.score(query, v)))
-            .collect();
-        top_k(candidates, k)
+        let query = self.metric.prepare(query);
+        top_k(self.postings.scan(&query, &self.deleted).collect(), k)
     }
 }
 

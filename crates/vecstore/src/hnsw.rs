@@ -21,8 +21,9 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::metric::Query;
 use crate::neighbor::top_k;
-use crate::{IndexError, Metric, Neighbor, VectorIndex};
+use crate::{IndexError, Metric, Neighbor, Postings, VectorIndex};
 
 /// Hard cap on node layers; `ml = 1/ln(m)` makes layers above this
 /// astronomically unlikely for any practical catalog size.
@@ -165,8 +166,8 @@ pub struct HnswIndex {
     dim: usize,
     metric: Metric,
     params: HnswParams,
-    ids: Vec<u64>,
-    data: Vec<f32>,
+    /// Node `i`'s id and vector are slot `i` of the postings.
+    postings: Postings,
     /// `links[node][layer]` → out-neighbours of `node` on `layer`; a node
     /// occupies layers `0..links[node].len()`.
     links: Vec<Vec<Vec<u32>>>,
@@ -224,16 +225,14 @@ impl HnswIndex {
             dim,
             metric,
             params,
-            ids: Vec::with_capacity(items.len()),
-            data: Vec::with_capacity(items.len() * dim),
+            postings: Postings::with_capacity(dim, items.len()),
             links: Vec::with_capacity(items.len()),
             entry: None,
             deleted: Vec::new(),
         };
         let mut visited = Visited::new(items.len());
         for (sequence, (id, vector)) in items.iter().enumerate() {
-            index.ids.push(*id);
-            index.data.extend_from_slice(vector);
+            index.postings.push(*id, vector);
             let layer = assigned_layer(params.seed, sequence as u64, params.m);
             index.links.push(vec![Vec::new(); layer + 1]);
             index.connect(sequence as u32, layer, &mut visited);
@@ -303,18 +302,15 @@ impl HnswIndex {
             None if n == 0 => {}
             _ => return Err(IndexError::NotTrained),
         }
-        let mut ids = Vec::with_capacity(n);
-        let mut data = Vec::with_capacity(n * dim);
-        for (id, v) in postings {
-            ids.push(id);
-            data.extend_from_slice(&v);
+        let mut stored = Postings::with_capacity(dim, n);
+        for (id, v) in &postings {
+            stored.push(*id, v);
         }
         Ok(Self {
             dim,
             metric,
             params,
-            ids,
-            data,
+            postings: stored,
             links,
             entry,
             deleted: Vec::new(),
@@ -339,15 +335,14 @@ impl HnswIndex {
                 got: vector.len(),
             });
         }
-        if self.ids.contains(&id) {
+        if self.postings.contains(id) {
             return Err(IndexError::DuplicateId(id));
         }
-        let sequence = self.ids.len() as u64;
-        self.ids.push(id);
-        self.data.extend_from_slice(vector);
+        let sequence = self.postings.len() as u64;
+        self.postings.push(id, vector);
         let layer = assigned_layer(self.params.seed, sequence, self.params.m);
         self.links.push(vec![Vec::new(); layer + 1]);
-        let mut visited = Visited::new(self.ids.len());
+        let mut visited = Visited::new(self.postings.len());
         self.connect(sequence as u32, layer, &mut visited);
         Ok(())
     }
@@ -365,11 +360,11 @@ impl HnswIndex {
     /// [`IndexError::UnknownId`] if `id` was never added or is already
     /// tombstoned.
     pub fn remove(&mut self, id: u64) -> Result<bool, IndexError> {
-        if !self.ids.contains(&id) || self.deleted.contains(&id) {
+        if !self.postings.contains(id) || self.deleted.contains(&id) {
             return Err(IndexError::UnknownId(id));
         }
         self.deleted.push(id);
-        if crate::compaction_due(self.deleted.len(), self.ids.len()) {
+        if crate::compaction_due(self.deleted.len(), self.postings.len()) {
             self.compact();
             return Ok(true);
         }
@@ -387,8 +382,7 @@ impl HnswIndex {
     fn compact(&mut self) {
         let live: Vec<(u64, Vec<f32>)> = self.iter().map(|(id, v)| (id, v.to_vec())).collect();
         if live.is_empty() {
-            self.ids.clear();
-            self.data.clear();
+            self.postings = Postings::with_capacity(self.dim, 0);
             self.links.clear();
             self.entry = None;
             self.deleted.clear();
@@ -420,10 +414,7 @@ impl HnswIndex {
     /// [`crate::serial`]): node indices in [`HnswIndex::links`] refer to
     /// this full sequence, so dead nodes must be persisted too.
     pub fn iter_all(&self) -> impl Iterator<Item = (u64, &[f32])> + '_ {
-        self.ids
-            .iter()
-            .enumerate()
-            .map(move |(i, id)| (*id, &self.data[i * self.dim..(i + 1) * self.dim]))
+        self.postings.iter()
     }
 
     /// The adjacency lists: `links()[node][layer]` → neighbours on `layer`.
@@ -448,10 +439,11 @@ impl HnswIndex {
     /// gates on (wall-clock is not comparable across CI machines).
     pub fn search_with_stats(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, usize) {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let n = self.ids.len();
+        let n = self.postings.len();
         if n == self.deleted.len() || k == 0 {
             return (Vec::new(), 0);
         }
+        let query = self.metric.prepare(query);
         // Widen the beam by the tombstone count so dead nodes — which
         // still route and occupy beam slots — cannot crowd live answers
         // out of the ef window.
@@ -461,39 +453,31 @@ impl HnswIndex {
             // catalog the graph can't prune anything, so answer exactly —
             // this is what makes max-ef_search agree with FlatIndex. Only
             // live vectors are scanned (and counted as evaluations).
-            let candidates: Vec<Neighbor> = self
-                .iter()
-                .map(|(id, v)| Neighbor::new(id, self.metric.score(query, v)))
-                .collect();
+            let candidates: Vec<Neighbor> = self.postings.scan(&query, &self.deleted).collect();
             let evals = candidates.len();
             return (top_k(candidates, k), evals);
         }
         let mut evals = 0usize;
         let mut visited = Visited::new(n);
         let mut ep = Scored {
-            score: self.score_node(query, self.entry.expect("non-empty"), &mut evals),
+            score: self.score_node(&query, self.entry.expect("non-empty"), &mut evals),
             node: self.entry.expect("non-empty"),
         };
         for layer in (1..=self.max_layer()).rev() {
-            ep = self.greedy_step(query, ep, layer, &mut evals);
+            ep = self.greedy_step(&query, ep, layer, &mut evals);
         }
-        let found = self.search_layer(query, ep, ef, 0, &mut visited, &mut evals);
+        let found = self.search_layer(&query, ep, ef, 0, &mut visited, &mut evals);
         let candidates = found
             .into_iter()
-            .map(|s| Neighbor::new(self.ids[s.node as usize], s.score))
+            .map(|s| Neighbor::new(self.postings.id(s.node as usize), s.score))
             .filter(|nb| !self.deleted.contains(&nb.id))
             .collect();
         (top_k(candidates, k), evals)
     }
 
-    fn vector(&self, node: u32) -> &[f32] {
-        let i = node as usize;
-        &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    fn score_node(&self, query: &[f32], node: u32, evals: &mut usize) -> f32 {
+    fn score_node(&self, query: &Query<'_>, node: u32, evals: &mut usize) -> f32 {
         *evals += 1;
-        self.metric.score(query, self.vector(node))
+        self.postings.score(query, node as usize)
     }
 
     /// Greedy hill-climb on one layer: moves to the best-scoring neighbour
@@ -501,7 +485,7 @@ impl HnswIndex {
     /// improvement under `total_cmp`), so the walk is deterministic.
     fn greedy_step(
         &self,
-        query: &[f32],
+        query: &Query<'_>,
         mut current: Scored,
         layer: usize,
         evals: &mut usize,
@@ -528,14 +512,14 @@ impl HnswIndex {
     /// nodes (unordered; callers rank them).
     fn search_layer(
         &self,
-        query: &[f32],
+        query: &Query<'_>,
         entry: Scored,
         ef: usize,
         layer: usize,
         visited: &mut Visited,
         evals: &mut usize,
     ) -> Vec<Scored> {
-        visited.reset(self.ids.len());
+        visited.reset(self.postings.len());
         visited.insert(entry.node);
         // `frontier` pops best-first; `results` pops worst-first so the
         // beam can evict its weakest member in O(log ef).
@@ -574,7 +558,7 @@ impl HnswIndex {
             self.entry = Some(node);
             return;
         };
-        let query: Vec<f32> = self.vector(node).to_vec();
+        let query = self.postings.query(self.metric, node as usize);
         let mut evals = 0usize;
         let top = self.links[entry as usize].len() - 1;
         let mut ep = Scored {
@@ -605,7 +589,8 @@ impl HnswIndex {
                 let peers = &mut self.links[peer as usize][l];
                 peers.push(node);
                 if peers.len() > cap {
-                    self.prune(peer, l, cap);
+                    let pruned = self.pruned(peer, l, cap);
+                    self.links[peer as usize][l] = pruned;
                 }
             }
         }
@@ -637,10 +622,9 @@ impl HnswIndex {
             if chosen.len() >= cap {
                 break;
             }
+            let query = self.postings.query(self.metric, candidate.node as usize);
             let diverse = chosen.iter().all(|kept| {
-                let to_kept = self
-                    .metric
-                    .score(self.vector(candidate.node), self.vector(kept.node));
+                let to_kept = self.postings.score(&query, kept.node as usize);
                 to_kept.total_cmp(&candidate.score).is_lt()
             });
             if diverse {
@@ -650,26 +634,26 @@ impl HnswIndex {
         chosen.into_iter().map(|s| s.node).collect()
     }
 
-    /// Shrinks `node`'s layer-`layer` links back to `cap` with the same
+    /// `node`'s layer-`layer` links shrunk back to `cap` with the same
     /// selection heuristic, anchored at the node's own vector.
-    fn prune(&mut self, node: u32, layer: usize, cap: usize) {
-        let anchor = self.vector(node);
+    fn pruned(&self, node: u32, layer: usize, cap: usize) -> Vec<u32> {
+        let anchor = self.postings.query(self.metric, node as usize);
         let mut scored: Vec<Scored> = self.links[node as usize][layer]
             .iter()
             .map(|&peer| Scored {
-                score: self.metric.score(anchor, self.vector(peer)),
+                score: self.postings.score(&anchor, peer as usize),
                 node: peer,
             })
             .collect();
         scored.sort_by(|a, b| b.cmp(a));
-        self.links[node as usize][layer] = self.select_heuristic(&scored, cap);
+        self.select_heuristic(&scored, cap)
     }
 }
 
 impl VectorIndex for HnswIndex {
     /// Number of **live** vectors; tombstoned entries do not count.
     fn len(&self) -> usize {
-        self.ids.len() - self.deleted.len()
+        self.postings.len() - self.deleted.len()
     }
 
     fn dim(&self) -> usize {

@@ -2,7 +2,7 @@
 
 use crate::kmeans::{kmeans, nearest};
 use crate::neighbor::top_k;
-use crate::{IndexError, Metric, Neighbor, VectorIndex};
+use crate::{IndexError, Metric, Neighbor, Postings, VectorIndex};
 
 /// Construction parameters for [`IvfIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +53,8 @@ pub struct IvfIndex {
     metric: Metric,
     params: IvfParams,
     centroids: Vec<Vec<f32>>,
-    /// Per-cell storage of (id, vector).
-    cells: Vec<Vec<(u64, Vec<f32>)>>,
+    /// Per-cell postings, parallel to `centroids`.
+    cells: Vec<Postings>,
     /// Total stored entries, live and tombstoned.
     len: usize,
     /// Tombstoned ids in removal order; their postings stay in `cells`
@@ -105,9 +105,9 @@ impl IvfIndex {
         let vectors: Vec<Vec<f32>> = items.iter().map(|(_, v)| v.to_vec()).collect();
         let result = kmeans(&vectors, params.nlist, params.seed, 25);
         let nlist = result.centroids.len();
-        let mut cells: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); nlist];
+        let mut cells = vec![Postings::with_capacity(dim, 0); nlist];
         for ((id, v), cell) in items.iter().zip(&result.assignments) {
-            cells[*cell].push((*id, v.to_vec()));
+            cells[*cell].push(*id, v);
         }
         Ok(Self {
             dim,
@@ -133,16 +133,11 @@ impl IvfIndex {
                 got: vector.len(),
             });
         }
-        if self
-            .cells
-            .iter()
-            .flatten()
-            .any(|(existing, _)| *existing == id)
-        {
+        if self.stores(id) {
             return Err(IndexError::DuplicateId(id));
         }
         let cell = nearest(vector, &self.centroids).0;
-        self.cells[cell].push((id, vector.to_vec()));
+        self.cells[cell].push(id, vector);
         self.len += 1;
         Ok(())
     }
@@ -159,12 +154,7 @@ impl IvfIndex {
     /// [`IndexError::UnknownId`] if `id` was never added or is already
     /// tombstoned.
     pub fn remove(&mut self, id: u64) -> Result<bool, IndexError> {
-        let stored = self
-            .cells
-            .iter()
-            .flatten()
-            .any(|(existing, _)| *existing == id);
-        if !stored || self.deleted.contains(&id) {
+        if !self.stores(id) || self.deleted.contains(&id) {
             return Err(IndexError::UnknownId(id));
         }
         self.deleted.push(id);
@@ -173,6 +163,11 @@ impl IvfIndex {
             return Ok(true);
         }
         Ok(false)
+    }
+
+    /// Returns `true` if any cell stores `id`, live or tombstoned.
+    fn stores(&self, id: u64) -> bool {
+        self.cells.iter().any(|cell| cell.contains(id))
     }
 
     /// Tombstoned ids in removal order (empty right after a compaction).
@@ -184,7 +179,7 @@ impl IvfIndex {
     /// keep their within-cell order) and clears the tombstone list.
     fn compact(&mut self) {
         for cell in &mut self.cells {
-            cell.retain(|(id, _)| !self.deleted.contains(id));
+            cell.remove_all(&self.deleted);
         }
         self.len -= self.deleted.len();
         self.deleted.clear();
@@ -210,11 +205,11 @@ impl IvfIndex {
         &self.centroids
     }
 
-    /// Per-cell `(id, vector)` postings, parallel to [`IvfIndex::centroids`].
+    /// Per-cell postings, parallel to [`IvfIndex::centroids`].
     ///
     /// This is the persistence view: it includes tombstoned postings, which
     /// [`crate::serial`] captures alongside the tombstone list.
-    pub fn cells(&self) -> &[Vec<(u64, Vec<f32>)>] {
+    pub fn cells(&self) -> &[Postings] {
         &self.cells
     }
 
@@ -256,6 +251,16 @@ impl IvfIndex {
         if let Some(w) = seen.windows(2).find(|w| w[0] == w[1]) {
             return Err(IndexError::DuplicateId(w[0]));
         }
+        let cells = cells
+            .iter()
+            .map(|cell| {
+                let mut postings = Postings::with_capacity(dim, cell.len());
+                for (id, v) in cell {
+                    postings.push(*id, v);
+                }
+                postings
+            })
+            .collect();
         Ok(Self {
             dim,
             metric,
@@ -284,17 +289,14 @@ impl IvfIndex {
         cell_order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let probes = self.params.nprobe.max(1).min(cell_order.len());
 
-        let mut evals = self.centroids.len();
+        // Tombstoned postings are skipped without a distance evaluation,
+        // so every candidate cost exactly one.
+        let query = self.metric.prepare(query);
         let mut candidates = Vec::new();
         for (cell, _) in cell_order.into_iter().take(probes) {
-            for (id, v) in &self.cells[cell] {
-                if self.deleted.contains(id) {
-                    continue; // tombstone: skipped without a distance eval
-                }
-                candidates.push(Neighbor::new(*id, self.metric.score(query, v)));
-                evals += 1;
-            }
+            candidates.extend(self.cells[cell].scan(&query, &self.deleted));
         }
+        let evals = self.centroids.len() + candidates.len();
         (top_k(candidates, k), evals)
     }
 }
@@ -440,7 +442,7 @@ mod tests {
         assert!(compacted);
         assert!(idx.tombstones().is_empty());
         assert_eq!(idx.centroids(), centroids_before.as_slice());
-        let stored: usize = idx.cells().iter().map(Vec::len).sum();
+        let stored: usize = idx.cells().iter().map(Postings::len).sum();
         assert_eq!(stored, idx.len());
         // A compacted id is free again, assigned to its nearest cell.
         idx.add(0, &[0.0, 0.0]).unwrap();

@@ -14,7 +14,15 @@
 //!   catalog scale, where both exhaustive and probed scans degenerate to
 //!   linear work;
 //! * [`Metric`] — cosine / inner-product / Euclidean scoring with a uniform
-//!   "higher score is better" convention.
+//!   "higher score is better" convention;
+//! * [`Postings`] — the storage all three share: ids, one contiguous
+//!   vector buffer and each vector's norm, computed once at insert.
+//!
+//! Every index scores through one kernel: the query's norm and nonzero
+//! components are computed once per search, each candidate's dot product
+//! folds over those components only, and the result is bit-identical to
+//! the dense definitions in `lim_embed::similarity` (see
+//! [`Metric::score`], which runs the same kernel).
 //!
 //! All three indexes support **live mutation**: incremental `add`
 //! (Flat appends, IVF assigns to the nearest coarse centroid, HNSW
@@ -51,6 +59,7 @@ mod ivf;
 mod kmeans;
 mod metric;
 mod neighbor;
+mod postings;
 pub mod serial;
 
 pub use error::IndexError;
@@ -60,6 +69,7 @@ pub use ivf::{IvfIndex, IvfParams};
 pub use kmeans::{kmeans, KmeansResult};
 pub use metric::Metric;
 pub use neighbor::Neighbor;
+pub use postings::Postings;
 pub use serial::{
     flat_from_json, flat_to_json, floats_from_json, floats_to_json, hnsw_from_json, hnsw_to_json,
     ivf_from_json, ivf_to_json, DecodeIndexError,

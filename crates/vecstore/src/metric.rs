@@ -22,15 +22,112 @@ pub enum Metric {
 impl Metric {
     /// Scores `query` against `candidate`; higher is more similar.
     ///
+    /// This prepares `query` and runs the same kernel every index search
+    /// runs, so a one-off score and a search can never disagree.
+    ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     pub fn score(self, query: &[f32], candidate: &[f32]) -> f32 {
-        match self {
-            Metric::Cosine => similarity::cosine(query, candidate),
-            Metric::InnerProduct => similarity::dot(query, candidate),
-            Metric::Euclidean => -similarity::euclidean(query, candidate),
+        self.prepare(query)
+            .score(candidate, similarity::norm(candidate))
+    }
+
+    /// Prepares `query` for scoring against many candidates: its norm and
+    /// its nonzero support are computed once, not once per candidate.
+    pub(crate) fn prepare(self, query: &[f32]) -> Query<'_> {
+        Query::new(self, query, similarity::norm(query))
+    }
+}
+
+/// A query prepared for one search: the scoring kernel every index uses.
+///
+/// Each candidate is scored with its norm, which the indexes store once
+/// when the vector is added (see [`crate::Postings`]). Every score is
+/// bit-identical to the dense definitions in [`lim_embed::similarity`]:
+///
+/// * [`Metric::Cosine`] and [`Metric::InnerProduct`] fold `q[j] * v[j]`
+///   over the query's nonzero components only, in index order, with the
+///   same `Sum` as the dense fold. Every skipped product is `±0` when `v`
+///   is finite, and adding `±0` to a nonzero sum leaves it unchanged,
+///   while `±0 + p == p`. So the sparse sum equals the dense one bit for
+///   bit whenever it is nonzero. A query that is more than half nonzero
+///   folds densely: skipping so few zeros saves less than the indexing
+///   costs.
+/// * Two cases take the dense fold instead: a `±0` sparse sum, whose sign
+///   the skipped products may flip (and [`crate::Neighbor::ranking_cmp`]
+///   tells `-0.0` from `0.0`), and a non-finite norm on either side,
+///   which is how a NaN or infinite component shows (`NaN * 0` is NaN,
+///   not `±0`).
+/// * [`Metric::Euclidean`] is always dense.
+#[derive(Debug, Clone)]
+pub(crate) struct Query<'a> {
+    metric: Metric,
+    values: &'a [f32],
+    norm: f32,
+    /// The nonzero components as `(index, value)`, ascending; `None`
+    /// when dot products fold densely.
+    support: Option<Vec<(usize, f32)>>,
+}
+
+impl<'a> Query<'a> {
+    /// Prepares `values`, whose L2 norm the caller already holds.
+    pub(crate) fn new(metric: Metric, values: &'a [f32], norm: f32) -> Self {
+        let support = match metric {
+            Metric::Euclidean => None,
+            Metric::Cosine | Metric::InnerProduct => {
+                let nonzero = values.iter().filter(|x| **x != 0.0).count();
+                (nonzero * 2 <= values.len()).then(|| {
+                    values
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, x)| **x != 0.0)
+                        .map(|(j, x)| (j, *x))
+                        .collect()
+                })
+            }
+        };
+        Self {
+            metric,
+            values,
+            norm,
+            support,
         }
+    }
+
+    /// Scores `candidate`, whose L2 norm is `candidate_norm`; higher is
+    /// more similar.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidate` and the query differ in length.
+    pub(crate) fn score(&self, candidate: &[f32], candidate_norm: f32) -> f32 {
+        assert_eq!(self.values.len(), candidate.len(), "dimension mismatch");
+        match self.metric {
+            Metric::Cosine => {
+                if self.norm == 0.0 || candidate_norm == 0.0 {
+                    return 0.0;
+                }
+                let dot = self.dot(candidate, candidate_norm);
+                (dot / (self.norm * candidate_norm)).clamp(-1.0, 1.0)
+            }
+            Metric::InnerProduct => self.dot(candidate, candidate_norm),
+            Metric::Euclidean => -similarity::euclidean(self.values, candidate),
+        }
+    }
+
+    /// `similarity::dot(query, candidate)`, folded over the query's
+    /// support when that is exact.
+    fn dot(&self, candidate: &[f32], candidate_norm: f32) -> f32 {
+        if let Some(support) = &self.support {
+            if self.norm.is_finite() && candidate_norm.is_finite() {
+                let sparse: f32 = support.iter().map(|&(j, x)| x * candidate[j]).sum();
+                if sparse != 0.0 {
+                    return sparse;
+                }
+            }
+        }
+        similarity::dot(self.values, candidate)
     }
 }
 

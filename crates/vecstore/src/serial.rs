@@ -261,7 +261,7 @@ pub fn ivf_to_json(index: &IvfIndex) -> Value {
             .iter()
             .map(|cell| {
                 cell.iter()
-                    .map(|(id, v)| posting_to_json(*id, v))
+                    .map(|(id, v)| posting_to_json(id, v))
                     .collect::<Value>()
             })
             .collect(),

@@ -1,6 +1,9 @@
 //! Cross-module and property tests.
 
-use crate::{FlatIndex, HnswIndex, HnswParams, IvfIndex, IvfParams, Metric, VectorIndex};
+use crate::{
+    FlatIndex, HnswIndex, HnswParams, IvfIndex, IvfParams, Metric, Neighbor, Postings, VectorIndex,
+};
+use lim_embed::similarity;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -457,5 +460,239 @@ proptest! {
         let hits = idx.search(&[0.0, 0.0], 5);
         prop_assert!(!hits.is_empty());
         prop_assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
+    }
+}
+
+/// The dense definitions the scoring kernel must reproduce bit for bit.
+fn dense_score(metric: Metric, query: &[f32], candidate: &[f32]) -> f32 {
+    match metric {
+        Metric::Cosine => similarity::cosine(query, candidate),
+        Metric::InnerProduct => similarity::dot(query, candidate),
+        Metric::Euclidean => -similarity::euclidean(query, candidate),
+    }
+}
+
+const METRICS: [Metric; 3] = [Metric::Cosine, Metric::InnerProduct, Metric::Euclidean];
+
+/// `0.0` or `-0.0`, at random.
+fn signed_zero(rng: &mut StdRng) -> f32 {
+    if rng.random_bool(0.5) {
+        -0.0
+    } else {
+        0.0
+    }
+}
+
+/// One nonzero component. With `specials`, about one in six is NaN,
+/// ±infinity, a subnormal, or large enough that products overflow.
+fn nonzero(rng: &mut StdRng, specials: bool) -> f32 {
+    let sign = if rng.random_bool(0.5) { -1.0 } else { 1.0 };
+    if specials && rng.random_range(0..6u32) == 0 {
+        return match rng.random_range(0..4u32) {
+            0 => f32::NAN,
+            1 => sign * f32::INFINITY,
+            2 => sign * f32::from_bits(rng.random_range(1..0x0080_0000u32)),
+            _ => sign * rng.random_range(1e19f32..3e19),
+        };
+    }
+    sign * rng.random_range(1e-3f32..1.0)
+}
+
+/// A vector in which each component is nonzero with probability
+/// `density`; the rest are zeros of either sign.
+fn sparse_vector(rng: &mut StdRng, dim: usize, density: f64, specials: bool) -> Vec<f32> {
+    (0..dim)
+        .map(|_| {
+            if rng.random_bool(density) {
+                nonzero(rng, specials)
+            } else {
+                signed_zero(rng)
+            }
+        })
+        .collect()
+}
+
+/// A query/candidate pair of one of the four kinds the kernel must
+/// score exactly: 0 random sparse, 1 disjoint supports (every product is
+/// ±0), 2 products that cancel exactly to zero in pairs, 3 a zero vector
+/// on either side or both.
+fn kernel_pair(rng: &mut StdRng, kind: usize, dim: usize, specials: bool) -> (Vec<f32>, Vec<f32>) {
+    match kind {
+        0 => (
+            sparse_vector(rng, dim, 0.3, specials),
+            sparse_vector(rng, dim, 0.3, specials),
+        ),
+        1 => {
+            let mut q = sparse_vector(rng, dim, 0.0, false);
+            let mut v = sparse_vector(rng, dim, 0.0, false);
+            for j in 0..dim {
+                match rng.random_range(0..3u32) {
+                    0 => q[j] = nonzero(rng, specials),
+                    1 => v[j] = nonzero(rng, specials),
+                    _ => {}
+                }
+            }
+            (q, v)
+        }
+        2 => {
+            // Adjacent pairs q = (a, a), v = (b, -b): the products are p
+            // and -p, so each pair brings the running sum back to zero.
+            let mut q = sparse_vector(rng, dim, 0.0, false);
+            let mut v = sparse_vector(rng, dim, 0.0, false);
+            for pair in 0..dim / 2 {
+                if rng.random_bool(0.6) {
+                    let (a, b) = (nonzero(rng, false), nonzero(rng, false));
+                    q[2 * pair] = a;
+                    q[2 * pair + 1] = a;
+                    v[2 * pair] = b;
+                    v[2 * pair + 1] = -b;
+                } else if rng.random_bool(0.5) {
+                    q[2 * pair] = nonzero(rng, false);
+                } else {
+                    v[2 * pair + 1] = nonzero(rng, false);
+                }
+            }
+            (q, v)
+        }
+        _ => {
+            let zero = sparse_vector(rng, dim, 0.0, false);
+            let other = sparse_vector(rng, dim, 0.5, specials);
+            match rng.random_range(0..3u32) {
+                0 => (zero, other),
+                1 => (other, zero),
+                _ => (zero.clone(), zero),
+            }
+        }
+    }
+}
+
+/// `(id, score bits)` of a top-`k` list, so `-0.0` and `0.0` (and NaN
+/// payloads) compare as different scores.
+fn hit_bits(hits: &[Neighbor]) -> Vec<(u64, u32)> {
+    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+}
+
+/// The reference: score every live vector with the dense definition and
+/// rank with the crate's canonical order.
+fn dense_top_k(
+    metric: Metric,
+    live: &[(u64, Vec<f32>)],
+    query: &[f32],
+    k: usize,
+) -> Vec<(u64, u32)> {
+    let mut hits: Vec<Neighbor> = live
+        .iter()
+        .map(|(id, v)| Neighbor::new(*id, dense_score(metric, query, v)))
+        .collect();
+    hits.sort_by(Neighbor::ranking_cmp);
+    hits.truncate(k);
+    hit_bits(&hits)
+}
+
+proptest! {
+    /// The scoring kernel (stored norms, prepared query, sparse fold with
+    /// its two dense fallbacks) returns the same bits as
+    /// `lim_embed::similarity` for every metric: on random sparse pairs,
+    /// disjoint supports, exactly cancelling sums and zero vectors, with
+    /// NaN, ±infinity, subnormal and overflowing components mixed in.
+    #[test]
+    fn kernel_scores_bit_identically_to_the_dense_definitions(
+        seed in 0u64..1_000_000,
+        kind in 0usize..4,
+        specials in 0u32..2,
+    ) {
+        let specials = specials == 1;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = rng.random_range(1..48usize);
+        for _ in 0..16 {
+            let (q, v) = kernel_pair(&mut rng, kind, dim, specials);
+            let mut stored = Postings::with_capacity(dim, 2);
+            stored.push(0, &q);
+            stored.push(1, &v);
+            for metric in METRICS {
+                let want = dense_score(metric, &q, &v).to_bits();
+                let reverse = dense_score(metric, &v, &q).to_bits();
+                let got = [
+                    stored.score(&metric.prepare(&q), 1).to_bits(),
+                    metric.score(&q, &v).to_bits(),
+                    // A stored vector prepared as the query, as the HNSW
+                    // build scores its neighbours.
+                    stored.score(&stored.query(metric, 1), 0).to_bits(),
+                ];
+                prop_assert!(
+                    got == [want, want, reverse],
+                    "{}: kernel {:08x?} dense {:08x?} q={:?} v={:?}",
+                    metric, got, [want, want, reverse], q, v
+                );
+            }
+        }
+    }
+
+    /// Flat, IVF probing every cell and HNSW at maximum `ef_search` each
+    /// return the same `(id, score bits)` as a dense reference scan of the
+    /// live vectors: before any removal, with tombstones, and after the
+    /// removals trip compaction.
+    #[test]
+    fn indexes_rank_bit_identically_to_a_dense_scan(
+        seed in 0u64..1_000_000,
+        metric_ix in 0usize..3,
+    ) {
+        let metric = METRICS[metric_ix];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = rng.random_range(2..24usize);
+        let n = 40usize;
+        let mut live: Vec<(u64, Vec<f32>)> = (0..n as u64)
+            .map(|id| {
+                let (v, _) = kernel_pair(&mut rng, (id % 4) as usize, dim, true);
+                (id, v)
+            })
+            .collect();
+        let refs: Vec<(u64, &[f32])> = live.iter().map(|(i, v)| (*i, v.as_slice())).collect();
+        let mut flat = flat_from(dim, metric, &live);
+        let mut ivf = IvfIndex::train(
+            dim,
+            metric,
+            IvfParams { nlist: 4, nprobe: 4, seed },
+            &refs,
+        ).unwrap();
+        let mut hnsw = HnswIndex::train(
+            dim,
+            metric,
+            HnswParams { m: 4, ef_construction: 16, ef_search: n, seed },
+            &refs,
+        ).unwrap();
+        let queries: Vec<Vec<f32>> = (0..8)
+            .map(|i| kernel_pair(&mut rng, i % 4, dim, true).1)
+            .chain(live.iter().take(4).map(|(_, v)| v.clone()))
+            .collect();
+
+        // 5 removals stay below the compaction threshold; 10 trip it.
+        for removals in [0usize, 5, 10] {
+            while n - live.len() < removals {
+                let (id, _) = live.remove(rng.random_range(0..live.len()));
+                flat.remove(id).unwrap();
+                ivf.remove(id).unwrap();
+                hnsw.remove(id).unwrap();
+            }
+            let compacted = removals == 10;
+            prop_assert_eq!(flat.tombstones().is_empty(), removals == 0 || compacted);
+            prop_assert_eq!(ivf.tombstones().is_empty(), removals == 0 || compacted);
+            prop_assert_eq!(hnsw.tombstones().is_empty(), removals == 0 || compacted);
+            for q in &queries {
+                let want = dense_top_k(metric, &live, q, 12);
+                let got = [
+                    hit_bits(&flat.search(q, 12)),
+                    hit_bits(&ivf.search(q, 12)),
+                    hit_bits(&hnsw.search(q, 12)),
+                ];
+                for (name, hits) in ["flat", "ivf", "hnsw"].iter().zip(&got) {
+                    prop_assert!(
+                        *hits == want,
+                        "{} ({}, {} removed): {:?} != dense {:?}",
+                        name, metric, removals, hits, want
+                    );
+                }
+            }
+        }
     }
 }

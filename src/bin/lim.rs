@@ -1125,7 +1125,9 @@ fn spawn_line_reader<R: std::io::Read + Send + 'static>(
 /// builds the engine from its recorded workload (or checks a warm one
 /// still matches), then repeatedly submits whatever `request` frames
 /// have arrived and answers with `disposition`/`latency` frames, ending
-/// with the final `report` frame on EOF or SIGTERM.
+/// with the final `report` frame on EOF or SIGTERM. A frame reader that
+/// goes away also ends the stream: what was submitted is drained, and the
+/// caller still writes the report and checkpoint files.
 ///
 /// A request naming a tenant the engine does not serve is the one
 /// protocol error that does NOT abandon the stream: it is answered with
@@ -1145,32 +1147,16 @@ fn serve_wire_stream<W: std::io::Write>(
     use std::sync::mpsc::RecvTimeoutError;
 
     let poll = std::time::Duration::from_millis(25);
-    fn emit<W: std::io::Write>(
-        writer: &mut W,
-        frame: &lessismore::json::Value,
-    ) -> Result<(), String> {
-        writeln!(writer, "{frame}").map_err(|e| format!("cannot write frame: {e}"))?;
-        writer
-            .flush()
-            .map_err(|e| format!("cannot flush frame: {e}"))
-    }
-    fn emit_events<W: std::io::Write>(
-        writer: &mut W,
-        events: Vec<lessismore::serve::RequestEvent>,
-    ) -> Result<(), String> {
-        for event in events {
-            for frame in wire::event_frames(&event) {
-                emit(writer, &frame)?;
-            }
-        }
-        Ok(())
-    }
+    let mut frames = FrameWriter {
+        writer,
+        closed: false,
+    };
     // A protocol violation is answered with an error frame before the
     // stream is abandoned, so the peer learns why.
     macro_rules! bail {
         ($msg:expr) => {{
             let message: String = $msg;
-            let _ = emit(writer, &wire::error_frame(&message));
+            let _ = frames.emit(&wire::error_frame(&message));
             return Err(message);
         }};
     }
@@ -1249,8 +1235,14 @@ fn serve_wire_stream<W: std::io::Write>(
     };
 
     let mut session = engine.begin_stream(meta, options.workers);
-    emit(writer, &wire::ready_frame())?;
+    frames.emit(&wire::ready_frame())?;
     loop {
+        // A frame reader that has gone away ends the stream the way
+        // SIGTERM does: what was submitted is drained and reported.
+        if frames.closed {
+            eprintln!("the frame reader closed: draining the stream");
+            break;
+        }
         let mut batch = Vec::new();
         match lines.recv_timeout(poll) {
             Ok(line) => {
@@ -1279,7 +1271,7 @@ fn serve_wire_stream<W: std::io::Write>(
                     arrival_us,
                 }) => {
                     if tenant >= served {
-                        emit(writer, &unknown_tenant(tenant))?;
+                        frames.emit(&unknown_tenant(tenant))?;
                         continue;
                     }
                     let request = StreamRequest {
@@ -1298,28 +1290,28 @@ fn serve_wire_stream<W: std::io::Write>(
                 // out are owed to the client before the acknowledgement.
                 Ok(wire::ClientFrame::Register { tenant, tool }) => {
                     if tenant >= served {
-                        emit(writer, &unknown_tenant(tenant))?;
+                        frames.emit(&unknown_tenant(tenant))?;
                         continue;
                     }
                     match session.register_tool(tenant, &tool) {
                         Ok((index, events)) => {
-                            emit_events(writer, events)?;
+                            frames.emit_events(events)?;
                             let epoch = session.epoch(tenant).unwrap_or(0);
-                            emit(writer, &wire::catalog_frame("register", index, epoch))?;
+                            frames.emit(&wire::catalog_frame("register", index, epoch))?;
                         }
                         Err(e) => bail!(e),
                     }
                 }
                 Ok(wire::ClientFrame::Retire { tenant, id }) => {
                     if tenant >= served {
-                        emit(writer, &unknown_tenant(tenant))?;
+                        frames.emit(&unknown_tenant(tenant))?;
                         continue;
                     }
                     match session.retire_tool(tenant, id) {
                         Ok(events) => {
-                            emit_events(writer, events)?;
+                            frames.emit_events(events)?;
                             let epoch = session.epoch(tenant).unwrap_or(0);
-                            emit(writer, &wire::catalog_frame("retire", id, epoch))?;
+                            frames.emit(&wire::catalog_frame("retire", id, epoch))?;
                         }
                         Err(e) => bail!(e),
                     }
@@ -1328,17 +1320,52 @@ fn serve_wire_stream<W: std::io::Write>(
                 Err(e) => bail!(e),
             }
         }
-        emit_events(writer, session.drain())?;
+        frames.emit_events(session.drain())?;
     }
     // Graceful drain: resolve everything still queued, then report. The
     // final frame is the report document under an additive
     // `"frame": "report"` tag.
     let (report, tail) = session.finish_with_events();
-    emit_events(writer, tail)?;
+    frames.emit_events(tail)?;
     let mut frame = report_json(&report);
     frame.insert("frame", lessismore::json::Value::from("report"));
-    emit(writer, &frame)?;
+    frames.emit(&frame)?;
     Ok(report)
+}
+
+/// The frame side of one `lim/wire-v1` stream. A reader that has gone
+/// away (a broken pipe or a reset connection) is not an error: `closed`
+/// is set, every later frame is dropped, and the stream drains.
+struct FrameWriter<'w, W> {
+    writer: &'w mut W,
+    closed: bool,
+}
+
+impl<W: std::io::Write> FrameWriter<'_, W> {
+    /// Writes and flushes one frame line.
+    fn emit(&mut self, frame: &lessismore::json::Value) -> Result<(), String> {
+        if self.closed {
+            return Ok(());
+        }
+        match writeln!(self.writer, "{frame}").and_then(|()| self.writer.flush()) {
+            Ok(()) => Ok(()),
+            Err(e) if matches!(e.kind(), ErrorKind::BrokenPipe | ErrorKind::ConnectionReset) => {
+                self.closed = true;
+                Ok(())
+            }
+            Err(e) => Err(format!("cannot write frame: {e}")),
+        }
+    }
+
+    /// Writes the frames announcing each resolved request.
+    fn emit_events(&mut self, events: Vec<lessismore::serve::RequestEvent>) -> Result<(), String> {
+        for event in events {
+            for frame in lessismore::serve::wire::event_frames(&event) {
+                self.emit(&frame)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Post-stream bookkeeping shared by the stdin and socket front-ends:
