@@ -1,6 +1,7 @@
 //! **M1** — Criterion micro-benchmarks backing the paper's claim that the
 //! similarity machinery is "an inexpensive, pretrained embedding
-//! tokenizer" path: embedding, k-NN search (at catalog sizes from 46 to
+//! tokenizer" path: embedding (an IDF-less tool description, and the
+//! serving path's IDF-weighted query and `Ẽ` context), k-NN search (at catalog sizes from 46 to
 //! 4096, flat, IVF and HNSW), HNSW graph construction, clustering, level
 //! construction and the full controller
 //! decision, all of which must be negligible next to a single LLM decode
@@ -20,6 +21,7 @@ use lim_core::{
     ControllerConfig, Pipeline, SearchLevels, ToolController, DEFAULT_CONTEXT, REDUCED_CONTEXT,
 };
 use lim_embed::Embedder;
+use lim_llm::recommender::{recommend_descriptions, stable_text_seed};
 use lim_llm::{ModelProfile, Quant};
 use lim_vecstore::{FlatIndex, HnswIndex, HnswParams, IvfIndex, IvfParams, Metric, VectorIndex};
 
@@ -31,6 +33,30 @@ fn bench_embedding(c: &mut Criterion) {
                 "Fetches current weather data and forecast for a given city and date range",
             ))
         })
+    });
+
+    // The serving path's encoder: the bfcl levels' IDF-weighted embedder
+    // on a normalized query, and on the query with one recommended
+    // description (an `Ẽ` context), as `ServeEngine` embeds them.
+    let workload = lim_workloads::bfcl(42, 120);
+    let levels = SearchLevels::build(&workload);
+    let query = &workload.queries[0];
+    let normalized = lim_serve::normalize_query(&query.text);
+    let gold: Vec<&str> = query
+        .steps
+        .iter()
+        .filter_map(|s| workload.registry.get_by_name(&s.tool))
+        .map(|t| t.description())
+        .collect();
+    let model = ModelProfile::by_name("llama3.1-8b").expect("model exists");
+    let seed = stable_text_seed(&normalized);
+    let recs = recommend_descriptions(&model, Quant::Q8_0, &normalized, &gold, seed);
+    let embedder = levels.embedder();
+    c.bench_function("embed/bfcl/query", |b| {
+        b.iter(|| embedder.embed(black_box(&normalized)))
+    });
+    c.bench_function("embed/bfcl/context", |b| {
+        b.iter(|| embedder.embed_with_context(black_box(&normalized), black_box(&recs[0])))
     });
 }
 

@@ -73,38 +73,43 @@ pub fn shard_bounds(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
 /// `f` receives the item's global index, so seeded work can key off the
 /// canonical position rather than the executing thread. Shards are
 /// contiguous [`shard_bounds`] slices; the output is the concatenation of
-/// shard outputs in shard order, which equals the sequential map.
+/// shard outputs in shard order, which equals the sequential map. The
+/// calling thread runs the last shard itself, so `threads` shards cost
+/// `threads - 1` spawns.
 pub fn sharded_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let bounds = shard_bounds(items.len(), threads);
+    let run = |range: std::ops::Range<usize>| -> Vec<U> {
+        let offset = range.start;
+        items[range]
+            .iter()
+            .enumerate()
+            .map(|(i, x)| f(offset + i, x))
+            .collect()
+    };
+    let mut bounds = shard_bounds(items.len(), threads);
     // One shard (or a trivial batch): run inline, no thread overhead.
-    if bounds.len() <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+    let Some(last) = bounds.pop() else {
+        return Vec::new();
+    };
+    if bounds.is_empty() {
+        return run(last);
     }
     let mut merged = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
+        let run = &run;
         let handles: Vec<_> = bounds
-            .iter()
-            .map(|range| {
-                let shard = &items[range.clone()];
-                let offset = range.start;
-                let f = &f;
-                scope.spawn(move || {
-                    shard
-                        .iter()
-                        .enumerate()
-                        .map(|(i, x)| f(offset + i, x))
-                        .collect::<Vec<U>>()
-                })
-            })
+            .into_iter()
+            .map(|range| scope.spawn(move || run(range)))
             .collect();
+        let tail = run(last);
         for handle in handles {
             merged.extend(handle.join().expect("shard worker panicked"));
         }
+        merged.extend(tail);
     });
     merged
 }

@@ -142,6 +142,16 @@ impl<'a> Pipeline<'a> {
         self
     }
 
+    /// This pipeline at another quantization: the same workload, levels,
+    /// model, device, seed and rendered catalog, without rendering the
+    /// catalog again.
+    pub fn at_quant(&self, quant: Quant) -> Self {
+        Self {
+            quant,
+            ..self.clone()
+        }
+    }
+
     /// The workload this pipeline evaluates.
     pub fn workload(&self) -> &'a Workload {
         self.workload
@@ -646,6 +656,22 @@ mod tests {
         let a = p.run_all(Policy::less_is_more(3));
         let b = p.run_all(Policy::less_is_more(3));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn at_quant_equals_a_fresh_pipeline_at_that_quant() {
+        let (w, levels, model) = setup(true);
+        let base = Pipeline::new(&w, &levels, &model, Quant::Q8_0).with_seed(9);
+        let fresh = Pipeline::new(&w, &levels, &model, Quant::Q4_0).with_seed(9);
+        let derived = base.at_quant(Quant::Q4_0);
+        for policy in [Policy::Default, Policy::less_is_more(3)] {
+            assert_eq!(derived.run_all(policy), fresh.run_all(policy));
+        }
+        assert_ne!(
+            base.run_all(Policy::Default),
+            fresh.run_all(Policy::Default),
+            "the quant must matter for this check to mean anything"
+        );
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! The hashed random-projection sentence encoder.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::idf::IdfModel;
-use crate::tokenizer::tokens_with_bigrams;
+use crate::tokenizer::Terms;
 use crate::vector::Embedding;
 use crate::EMBED_DIM;
 
@@ -15,9 +19,9 @@ const SCATTER: usize = 4;
 
 /// Deterministic 768-d sentence encoder (MPNet substitute).
 ///
-/// Construction is cheap; the encoder carries only the optional
-/// [`IdfModel`]. Encoding is pure and deterministic: the same text always
-/// yields the same vector, across runs and platforms.
+/// The encoder carries the optional [`IdfModel`] and, built from it once,
+/// every term's weight. Encoding is pure and deterministic: the same text
+/// always yields the same vector, across runs and platforms.
 ///
 /// # Examples
 ///
@@ -29,10 +33,17 @@ const SCATTER: usize = 4;
 /// let v = embedder.embed("translate this document");
 /// assert_eq!(v.dim(), lim_embed::EMBED_DIM);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Embedder {
     dim: usize,
     idf: IdfModel,
+    weights: WeightTable,
+}
+
+impl Default for Embedder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Builder for [`Embedder`], allowing a custom dimension or IDF model.
@@ -69,13 +80,29 @@ impl EmbedderBuilder {
         self
     }
 
-    /// Finalises the encoder.
+    /// Finalises the encoder, computing every term's IDF weight once.
     pub fn build(self) -> Embedder {
         Embedder {
             dim: self.dim,
+            weights: WeightTable::new(&self.idf),
             idf: self.idf,
         }
     }
+}
+
+/// Per-thread buffers of the encoder, so an ASCII text is encoded
+/// without allocating anything but its vector.
+#[derive(Default)]
+struct Scratch {
+    terms: Terms,
+    /// One bit per dimension: set once a term scattered into it.
+    touched: Vec<u64>,
+    /// The text of a context embedding, `"{query} {description}"`.
+    text: String,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 impl Embedder {
@@ -91,11 +118,7 @@ impl Embedder {
 
     /// Latent dimensionality of produced vectors.
     pub fn dim(&self) -> usize {
-        if self.dim == 0 {
-            EMBED_DIM
-        } else {
-            self.dim
-        }
+        self.dim
     }
 
     /// The IDF model in use (for persistence of offline artifacts).
@@ -105,23 +128,24 @@ impl Embedder {
 
     /// Encodes `text` into a unit-norm [`Embedding`].
     ///
+    /// Every term of `text` (see [`Terms`]: its unigrams in text order,
+    /// then its bigrams in text order) adds its IDF weight, with a hashed
+    /// sign, to four hashed dimensions. That order is part of the
+    /// output: each dimension is an `f32` sum, and reordering its addends
+    /// can change its last bit. The vector is then divided by its L2 norm,
+    /// which sums the squares of the dimensions some term touched, in
+    /// ascending index order. That equals the sum over all dimensions bit
+    /// for bit: every other square is `+0.0`, and adding `+0.0` changes no
+    /// sum but `-0.0`, which a sum of squares never holds once it has one
+    /// addend.
+    ///
     /// Empty or all-stopword text produces the zero vector, whose cosine
     /// with anything is 0 — callers treat that as "no signal".
     pub fn embed(&self, text: &str) -> Embedding {
-        let dim = self.dim();
-        let mut values = vec![0.0f32; dim];
-        for term in tokens_with_bigrams(text) {
-            let weight = self.idf.weight(&term);
-            let base = fnv1a(term.as_bytes());
-            for slot in 0..SCATTER {
-                // Derive an independent hash per scatter slot.
-                let h = splitmix(base ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let index = (h % dim as u64) as usize;
-                let sign = if (h >> 63) & 1 == 1 { -1.0 } else { 1.0 };
-                values[index] += sign * weight;
-            }
-        }
-        Embedding::new(values)
+        SCRATCH.with(|scratch| {
+            let Scratch { terms, touched, .. } = &mut *scratch.borrow_mut();
+            self.encode(terms, touched, text)
+        })
     }
 
     /// Encodes a batch of texts.
@@ -136,8 +160,124 @@ impl Embedder {
     /// Encodes a query together with recommended tool descriptions, the way
     /// the paper forms the `Ẽ` latent points (§III-B): each recommendation
     /// is embedded alongside the user task so the match sees both.
+    ///
+    /// This is [`Embedder::embed`] of `"{query} {description}"`.
     pub fn embed_with_context(&self, query: &str, description: &str) -> Embedding {
-        self.embed(&format!("{query} {description}"))
+        SCRATCH.with(|scratch| {
+            let Scratch {
+                terms,
+                touched,
+                text,
+            } = &mut *scratch.borrow_mut();
+            text.clear();
+            text.push_str(query);
+            text.push(' ');
+            text.push_str(description);
+            self.encode(terms, touched, text)
+        })
+    }
+
+    /// The encoder behind [`Embedder::embed`], over the caller's buffers.
+    fn encode(&self, terms: &mut Terms, touched: &mut Vec<u64>, text: &str) -> Embedding {
+        let dim = self.dim;
+        let mut values = vec![0.0f32; dim];
+        touched.clear();
+        touched.resize(dim.div_ceil(64), 0);
+        terms.for_each(text, |term| {
+            let base = fnv1a(term.as_bytes());
+            let weight = self.weights.get(&self.idf, base, term);
+            for slot in 0..SCATTER {
+                // Derive an independent hash per scatter slot.
+                let h = splitmix(base ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let index = (h % dim as u64) as usize;
+                let sign = if (h >> 63) & 1 == 1 { -1.0 } else { 1.0 };
+                values[index] += sign * weight;
+                touched[index / 64] |= 1 << (index % 64);
+            }
+        });
+        let mut squares = 0.0f32;
+        for_each_set_bit(touched, |j| squares += values[j] * values[j]);
+        let norm = squares.sqrt();
+        if norm > 0.0 {
+            for_each_set_bit(touched, |j| values[j] /= norm);
+        }
+        Embedding::from_normalized(values)
+    }
+}
+
+/// Calls `f` with the index of every set bit of `bits`, ascending.
+fn for_each_set_bit(bits: &[u64], mut f: impl FnMut(usize)) {
+    for (word, &set) in bits.iter().enumerate() {
+        let mut set = set;
+        while set != 0 {
+            f(word * 64 + set.trailing_zeros() as usize);
+            set &= set - 1;
+        }
+    }
+}
+
+/// Every term's IDF weight, computed once from an [`IdfModel`] and keyed
+/// by the term's FNV-1a hash, the hash the encoder computes anyway to
+/// scatter the term.
+#[derive(Debug, Clone)]
+struct WeightTable {
+    /// The term and weight stored under each hash. Of two terms whose
+    /// hashes collide, one is stored; a lookup checks the term's bytes, so
+    /// the other is looked up in the [`IdfModel`] and never shares a
+    /// weight.
+    by_hash: HashMap<u64, (Box<str>, f32), BuildHasherDefault<PreHashed>>,
+    /// The weight of a term the model has not seen: that of a fitted term
+    /// of document frequency 0, or 1.0 under an empty model.
+    unseen: f32,
+}
+
+impl WeightTable {
+    fn new(idf: &IdfModel) -> Self {
+        let mut by_hash = HashMap::default();
+        if idf.is_empty() {
+            return Self {
+                by_hash,
+                unseen: 1.0,
+            };
+        }
+        for (term, df) in idf.entries() {
+            by_hash
+                .entry(fnv1a(term.as_bytes()))
+                .or_insert_with(|| (term.into(), idf.weight_of_df(df)));
+        }
+        Self {
+            by_hash,
+            unseen: idf.weight_of_df(0),
+        }
+    }
+
+    /// The weight of `term`, whose FNV-1a hash is `hash`.
+    fn get(&self, idf: &IdfModel, hash: u64, term: &str) -> f32 {
+        match self.by_hash.get(&hash) {
+            Some((key, weight)) if **key == *term => *weight,
+            Some(_) => idf.weight(term),
+            None => self.unseen,
+        }
+    }
+}
+
+/// The hasher of a [`WeightTable`], whose keys are already FNV-1a hashes.
+/// It folds their well-mixed high bits into the low bits a table indexes
+/// by (FNV-1a's low bits depend only on the bytes' low bits).
+#[derive(Debug, Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("weight tables are keyed by u64 hashes");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
 }
 
@@ -242,6 +382,23 @@ mod tests {
         let with_ctx = e.embed_with_context("weather in paris", "temperature lookup");
         let plain = e.embed("weather in paris temperature lookup");
         assert_eq!(with_ctx, plain);
+    }
+
+    #[test]
+    fn a_hash_collision_never_shares_a_weight() {
+        let idf = IdfModel::fit(["alpha beta", "alpha gamma", "delta"]);
+        let mut table = WeightTable::new(&idf);
+        assert_eq!(table.get(&idf, fnv1a(b"beta"), "beta"), idf.weight("beta"));
+        assert_eq!(table.get(&idf, fnv1a(b"zeta"), "zeta"), idf.weight("zeta"));
+        // Store "beta" under the hash of "alpha", as a collision would.
+        table
+            .by_hash
+            .insert(fnv1a(b"alpha"), ("beta".into(), idf.weight("beta")));
+        assert_ne!(idf.weight("alpha"), idf.weight("beta"));
+        assert_eq!(
+            table.get(&idf, fnv1a(b"alpha"), "alpha"),
+            idf.weight("alpha")
+        );
     }
 
     #[test]

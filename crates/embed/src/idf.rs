@@ -95,7 +95,11 @@ impl IdfModel {
         if self.doc_count == 0 {
             return 1.0;
         }
-        let df = self.doc_freq.get(term).copied().unwrap_or(0);
+        self.weight_of_df(self.doc_freq.get(term).copied().unwrap_or(0))
+    }
+
+    /// The weight of a term seen in `df` documents, for a fitted model.
+    pub(crate) fn weight_of_df(&self, df: usize) -> f32 {
         (1.0 + (self.doc_count as f32 + 1.0) / (df as f32 + 1.0)).ln()
     }
 }

@@ -8,12 +8,17 @@
 //!
 //! 1. [`tokenizer`] — lowercasing, punctuation splitting, stopword removal
 //!    and a light suffix stemmer, so that "translates documents" and
-//!    "document translation" share tokens;
+//!    "document translation" share tokens. [`tokenizer::Terms`] is the one
+//!    definition of a term (unigrams, then adjacent-pair bigrams) that the
+//!    IDF fit and the encoder both read;
 //! 2. [`idf`] — inverse-document-frequency weighting fit on the tool corpus,
 //!    so that discriminative words dominate boilerplate;
 //! 3. [`Embedder`] — hashed unigram+bigram features scattered into
 //!    [`EMBED_DIM`] dimensions by a seeded signed hash (a random-projection
-//!    equivalent), then L2-normalised.
+//!    equivalent), then L2-normalised. The encoder looks weights up in a
+//!    table built once from the IDF model and encodes an ASCII text
+//!    without allocating anything but its vector; its output is part of the
+//!    workspace's bit-for-bit replay contract (see [`Embedder::embed`]).
 //!
 //! The result is a drop-in [`Embedding`] with the same shape (768-d, unit
 //! norm, cosine interface) the paper's controller consumes.

@@ -1,18 +1,77 @@
 //! Lexical front-end: lowercasing, splitting, stopwords and light stemming.
+//!
+//! [`Terms`] is the one definition of a term. The IDF fit
+//! ([`crate::IdfModel::add_document`]), the encoder ([`crate::Embedder`])
+//! and the collectors [`tokenize`] and [`tokens_with_bigrams`] all read
+//! a text through it, so they can never disagree on what a term is.
 
-/// English stopwords stripped before embedding.
+/// Returns `true` if `word` is an English stopword stripped before
+/// embedding.
 ///
-/// The list is intentionally small: tool descriptions are short, and removing
-/// too much hurts bigram coverage.
-pub const STOPWORDS: &[&str] = &[
-    "a", "an", "and", "are", "as", "at", "be", "by", "for", "from", "in", "into", "is", "it",
-    "its", "of", "on", "or", "that", "the", "this", "to", "with", "will", "you", "your", "can",
-    "given", "using", "use", "any", "all",
-];
-
-/// Returns `true` if `word` is in [`STOPWORDS`].
+/// The list is intentionally small: tool descriptions are short, and
+/// removing too much hurts bigram coverage.
 pub fn is_stopword(word: &str) -> bool {
-    STOPWORDS.contains(&word)
+    matches!(
+        word,
+        "a" | "an"
+            | "and"
+            | "are"
+            | "as"
+            | "at"
+            | "be"
+            | "by"
+            | "for"
+            | "from"
+            | "in"
+            | "into"
+            | "is"
+            | "it"
+            | "its"
+            | "of"
+            | "on"
+            | "or"
+            | "that"
+            | "the"
+            | "this"
+            | "to"
+            | "with"
+            | "will"
+            | "you"
+            | "your"
+            | "can"
+            | "given"
+            | "using"
+            | "use"
+            | "any"
+            | "all"
+    )
+}
+
+/// The light suffix stemmer's rule for `w`: how many leading bytes of `w`
+/// the stem keeps, and whether a `y` follows them.
+fn stem_rule(w: &str) -> (usize, bool) {
+    let n = w.len();
+    if n > 4 && w.ends_with("ies") {
+        return (n - 3, true);
+    }
+    if n > 5 && w.ends_with("ing") {
+        return (n - 3, false);
+    }
+    if n > 4 && w.ends_with("ed") {
+        return (n - 2, false);
+    }
+    if n > 4
+        && (w.ends_with("ches") || w.ends_with("shes") || w.ends_with("xes") || w.ends_with("zes"))
+    {
+        return (n - 2, false);
+    }
+    if n > 3 && w.ends_with("es") && !w.ends_with("ses") {
+        return (n - 1, false);
+    }
+    if n > 3 && w.ends_with('s') && !w.ends_with("ss") {
+        return (n - 1, false);
+    }
+    (n, false)
 }
 
 /// Applies a light suffix stemmer so morphological variants collide.
@@ -32,35 +91,106 @@ pub fn is_stopword(word: &str) -> bool {
 /// assert_eq!(stem("maps"), "map");
 /// ```
 pub fn stem(word: &str) -> String {
-    let w = word;
-    if w.len() > 4 && w.ends_with("ies") {
-        return format!("{}y", &w[..w.len() - 3]);
+    let (keep, y) = stem_rule(word);
+    let mut stemmed = word[..keep].to_owned();
+    if y {
+        stemmed.push('y');
     }
-    if w.len() > 5 && w.ends_with("ing") {
-        return w[..w.len() - 3].to_string();
-    }
-    if w.len() > 4 && w.ends_with("ed") {
-        return w[..w.len() - 2].to_string();
-    }
-    if w.len() > 4
-        && (w.ends_with("ches") || w.ends_with("shes") || w.ends_with("xes") || w.ends_with("zes"))
-    {
-        return w[..w.len() - 2].to_string();
-    }
-    if w.len() > 3 && w.ends_with("es") && !w.ends_with("ses") {
-        return w[..w.len() - 1].to_string();
-    }
-    if w.len() > 3 && w.ends_with('s') && !w.ends_with("ss") {
-        return w[..w.len() - 1].to_string();
-    }
-    w.to_string()
+    stemmed
 }
 
-/// Tokenizes `text` into lowercase, stopword-free, stemmed terms.
+/// The term stream of a text, with buffers reused from text to text.
 ///
-/// Splits on any non-alphanumeric character, so snake_case tool names like
-/// `plot_vqa_captions` decompose into their content words — crucial for
-/// matching LLM-recommended descriptions against real tool names.
+/// A text's terms are its words, split on every non-alphanumeric
+/// character, lowercased, stripped of stopwords and stemmed (the
+/// *unigrams*), followed by each adjacent pair of unigrams joined by a
+/// space (the *bigrams*). Splitting on punctuation makes snake_case tool
+/// names like `plot_vqa_captions` decompose into their content words;
+/// bigrams let the embedder tell "convert currency" from "convert units"
+/// even when unigram overlap is identical.
+///
+/// [`Terms::for_each`] hands every term out as a `&str` into the stream's
+/// own buffers, which are reused from text to text. An ASCII word is
+/// lowercased in place, without allocating; any other word goes through
+/// [`str::to_lowercase`], which applies Unicode's context rules (a final
+/// `Σ` lowers to `ς`).
+///
+/// # Examples
+///
+/// ```
+/// use lim_embed::tokenizer::Terms;
+///
+/// let mut terms = Terms::new();
+/// let mut seen = Vec::new();
+/// terms.for_each("Converts the currencies", |t| seen.push(t.to_owned()));
+/// assert_eq!(seen, ["convert", "currency", "convert currency"]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Terms {
+    /// The current text's unigrams, back to back.
+    words: String,
+    /// The end offset of each unigram in `words`.
+    ends: Vec<usize>,
+    /// The bigram being handed out.
+    pair: String,
+}
+
+impl Terms {
+    /// An empty term stream.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Calls `f` with every term of `text`: all unigrams in text order,
+    /// then all bigrams in text order.
+    pub fn for_each(&mut self, text: &str, mut f: impl FnMut(&str)) {
+        self.unigrams(text, &mut f);
+        for i in 1..self.ends.len() {
+            let start = if i == 1 { 0 } else { self.ends[i - 2] };
+            self.pair.clear();
+            self.pair.push_str(&self.words[start..self.ends[i - 1]]);
+            self.pair.push(' ');
+            self.pair
+                .push_str(&self.words[self.ends[i - 1]..self.ends[i]]);
+            f(&self.pair);
+        }
+    }
+
+    /// Calls `f` with every unigram of `text`, in text order.
+    pub fn unigrams(&mut self, text: &str, mut f: impl FnMut(&str)) {
+        self.words.clear();
+        self.ends.clear();
+        for word in text.split(|c: char| !c.is_alphanumeric()) {
+            if word.is_empty() {
+                continue;
+            }
+            let start = self.words.len();
+            if word.is_ascii() {
+                self.words.push_str(word);
+                self.words[start..].make_ascii_lowercase();
+            } else {
+                self.words.push_str(&word.to_lowercase());
+            }
+            let lowered = &self.words[start..];
+            if is_stopword(lowered) {
+                self.words.truncate(start);
+                continue;
+            }
+            let (keep, y) = stem_rule(lowered);
+            self.words.truncate(start + keep);
+            if y {
+                self.words.push('y');
+            }
+            if self.words.len() > start {
+                self.ends.push(self.words.len());
+                f(&self.words[start..]);
+            }
+        }
+    }
+}
+
+/// Tokenizes `text` into lowercase, stopword-free, stemmed terms: the
+/// unigrams of [`Terms`].
 ///
 /// # Examples
 ///
@@ -72,26 +202,17 @@ pub fn stem(word: &str) -> String {
 /// assert!(!toks.contains(&"the".to_string()));
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|w| !w.is_empty())
-        .map(|w| w.to_lowercase())
-        .filter(|w| !is_stopword(w))
-        .map(|w| stem(&w))
-        .filter(|w| !w.is_empty())
-        .collect()
+    let mut tokens = Vec::new();
+    Terms::new().unigrams(text, |t| tokens.push(t.to_owned()));
+    tokens
 }
 
-/// Produces the token stream plus adjacent-pair bigrams (`"a b"`).
-///
-/// Bigrams let the embedder distinguish "convert currency" from
-/// "convert units" even when unigram overlap is identical.
+/// Every term of `text`, unigrams then adjacent-pair bigrams (`"a b"`),
+/// as [`Terms::for_each`] hands them out.
 pub fn tokens_with_bigrams(text: &str) -> Vec<String> {
-    let tokens = tokenize(text);
-    let mut all = tokens.clone();
-    for pair in tokens.windows(2) {
-        all.push(format!("{} {}", pair[0], pair[1]));
-    }
-    all
+    let mut terms = Vec::new();
+    Terms::new().for_each(text, |t| terms.push(t.to_owned()));
+    terms
 }
 
 #[cfg(test)]
@@ -112,11 +233,21 @@ mod tests {
     #[test]
     fn tokenize_drops_stopwords() {
         assert_eq!(tokenize("the cat is on a mat"), vec!["cat", "mat"]);
+        assert_eq!(tokenize("The Given USING"), Vec::<String>::new());
     }
 
     #[test]
     fn tokenize_keeps_numbers() {
         assert_eq!(tokenize("fall 2009"), vec!["fall", "2009"]);
+    }
+
+    #[test]
+    fn tokenize_lowercases_unicode_words_whole() {
+        // The final-sigma rule needs the whole word as context.
+        assert_eq!(tokenize("ΟΔΟΣ Straße"), vec!["οδο\u{3c2}", "straße"]);
+        // The Kelvin sign lowers to an ASCII `k`, so the stopword and
+        // stemming rules see the lowered word.
+        assert_eq!(tokenize("\u{212A}eys"), vec!["key"]);
     }
 
     #[test]
@@ -136,9 +267,25 @@ mod tests {
     #[test]
     fn bigrams_are_appended() {
         let all = tokens_with_bigrams("convert currency now");
-        assert!(all.contains(&"convert currency".to_string()));
-        assert!(all.contains(&"currency now".to_string()));
-        assert_eq!(all.len(), 5);
+        assert_eq!(
+            all,
+            [
+                "convert",
+                "currency",
+                "now",
+                "convert currency",
+                "currency now"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_reused_stream_forgets_the_previous_text() {
+        let mut terms = Terms::new();
+        terms.for_each("alpha beta gamma", |_| {});
+        let mut seen = Vec::new();
+        terms.for_each("delta", |t| seen.push(t.to_owned()));
+        assert_eq!(seen, ["delta"]);
     }
 
     #[test]

@@ -259,16 +259,8 @@ impl ServeEngine {
         // the configured quant) one quant step coarser. Both are
         // computed up front, in parallel, so the sequential admission
         // walk just picks per request.
-        let eco_pipeline = needs_eco.then(|| {
-            Pipeline::new(
-                &self.workload,
-                &self.levels,
-                &self.model,
-                ServiceLevel::Economy.quant_for(self.config.quant),
-            )
-            .with_seed(self.config.seed)
-            .with_device(self.config.device.profile())
-        });
+        let eco_pipeline = needs_eco
+            .then(|| pipeline.at_quant(ServiceLevel::Economy.quant_for(self.config.quant)));
         let executed = sharded_map(&planned, workers, |_, request| Executed {
             full: self.execute_request(&pipeline, request, &computed),
             degraded: needs_degraded.then(|| self.execute_degraded(&pipeline, request)),

@@ -35,8 +35,28 @@ impl Metric {
 
     /// Prepares `query` for scoring against many candidates: its norm and
     /// its nonzero support are computed once, not once per candidate.
+    ///
+    /// One pass collects the support. For [`Metric::Cosine`] and
+    /// [`Metric::InnerProduct`] the norm then sums the squares over that
+    /// support only, in index order. That equals
+    /// [`similarity::norm`] bit for bit: every skipped square is `+0.0`,
+    /// and adding `+0.0` changes no sum but `-0.0`, which a sum of
+    /// squares never holds once it has one addend. An empty or dense
+    /// support takes the dense norm.
     pub(crate) fn prepare(self, query: &[f32]) -> Query<'_> {
-        Query::new(self, query, similarity::norm(query))
+        let support = Query::support(self, query);
+        let norm = match &support {
+            Some(support) if !support.is_empty() => {
+                support.iter().map(|&(_, x)| x * x).sum::<f32>().sqrt()
+            }
+            _ => similarity::norm(query),
+        };
+        Query {
+            metric: self,
+            values: query,
+            norm,
+            support,
+        }
     }
 }
 
@@ -73,26 +93,31 @@ pub(crate) struct Query<'a> {
 impl<'a> Query<'a> {
     /// Prepares `values`, whose L2 norm the caller already holds.
     pub(crate) fn new(metric: Metric, values: &'a [f32], norm: f32) -> Self {
-        let support = match metric {
-            Metric::Euclidean => None,
-            Metric::Cosine | Metric::InnerProduct => {
-                let nonzero = values.iter().filter(|x| **x != 0.0).count();
-                (nonzero * 2 <= values.len()).then(|| {
-                    values
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, x)| **x != 0.0)
-                        .map(|(j, x)| (j, *x))
-                        .collect()
-                })
-            }
-        };
         Self {
             metric,
             values,
             norm,
-            support,
+            support: Self::support(metric, values),
         }
+    }
+
+    /// The nonzero components of `values`, collected in one pass, or
+    /// `None` when `metric` folds densely: Euclidean, or more than half
+    /// of the components nonzero.
+    fn support(metric: Metric, values: &[f32]) -> Option<Vec<(usize, f32)>> {
+        if metric == Metric::Euclidean {
+            return None;
+        }
+        let mut support = Vec::with_capacity(values.len() / 2);
+        for (j, &x) in values.iter().enumerate() {
+            if x != 0.0 {
+                if (support.len() + 1) * 2 > values.len() {
+                    return None;
+                }
+                support.push((j, x));
+            }
+        }
+        Some(support)
     }
 
     /// Scores `candidate`, whose L2 norm is `candidate_norm`; higher is
@@ -164,6 +189,30 @@ mod tests {
         let far = [0.0, -1.0];
         for m in [Metric::Cosine, Metric::InnerProduct, Metric::Euclidean] {
             assert!(m.score(&q, &q) >= m.score(&q, &far), "metric {m}");
+        }
+    }
+
+    #[test]
+    fn prepared_norm_is_the_dense_norm() {
+        let tiny = f32::from_bits(1);
+        let vectors: [&[f32]; 8] = [
+            &[],
+            &[0.0, -0.0, 0.0, -0.0],
+            &[0.0, 3.0, 0.0, -0.0],
+            &[0.25, -0.0, -4.0, 0.0],
+            &[0.25, 1.0, -4.0, 0.0],
+            &[tiny, 0.0, -tiny, 0.0],
+            &[0.0, f32::NAN, 0.0, 0.0],
+            &[f32::INFINITY, 0.0, 0.0, 1e30],
+        ];
+        for values in vectors {
+            for metric in [Metric::Cosine, Metric::InnerProduct, Metric::Euclidean] {
+                assert_eq!(
+                    metric.prepare(values).norm.to_bits(),
+                    similarity::norm(values).to_bits(),
+                    "{metric} {values:?}"
+                );
+            }
         }
     }
 

@@ -35,10 +35,17 @@ impl Neighbor {
 /// Keeps the best `k` of a candidate stream, returning them best-first.
 ///
 /// Ordering is [`Neighbor::ranking_cmp`] — (score desc, id asc) — so
-/// results are fully deterministic for any candidate arrival order.
+/// results are fully deterministic for any candidate arrival order. The
+/// best `k` are selected before they are sorted; since the order is
+/// total, that is exactly the first `k` of a full sort.
 pub(crate) fn top_k(mut candidates: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
+    if k < candidates.len() {
+        if k > 0 {
+            candidates.select_nth_unstable_by(k - 1, Neighbor::ranking_cmp);
+        }
+        candidates.truncate(k);
+    }
     candidates.sort_by(Neighbor::ranking_cmp);
-    candidates.truncate(k);
     candidates
 }
 
@@ -88,6 +95,36 @@ mod tests {
         assert_eq!(forward, top_k(reversed, 4));
         let ids: Vec<u64> = forward.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![1, 2, 5, 7]);
+    }
+
+    #[test]
+    fn top_k_equals_the_first_k_of_a_full_sort() {
+        // Tied scores, both zeros, NaN and infinities, in scrambled order.
+        let scores = [
+            0.5,
+            -0.0,
+            f32::NAN,
+            0.5,
+            0.0,
+            f32::INFINITY,
+            -1.0,
+            0.5,
+            f32::NEG_INFINITY,
+        ];
+        let candidates: Vec<Neighbor> = scores
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| Neighbor::new((i as u64 * 7) % 11, s))
+            .collect();
+        let mut sorted = candidates.clone();
+        sorted.sort_by(Neighbor::ranking_cmp);
+        for k in 0..=candidates.len() + 1 {
+            let bits = |hits: &[Neighbor]| -> Vec<(u64, u32)> {
+                hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+            };
+            let want = &sorted[..k.min(sorted.len())];
+            assert_eq!(bits(&top_k(candidates.clone(), k)), bits(want), "k={k}");
+        }
     }
 
     #[test]

@@ -512,10 +512,12 @@ fn sparse_vector(rng: &mut StdRng, dim: usize, density: f64, specials: bool) -> 
         .collect()
 }
 
-/// A query/candidate pair of one of the four kinds the kernel must
+/// A query/candidate pair of one of the five kinds the kernel must
 /// score exactly: 0 random sparse, 1 disjoint supports (every product is
 /// ±0), 2 products that cancel exactly to zero in pairs, 3 a zero vector
-/// on either side or both.
+/// on either side or both, 4 a query at the edges of the sparse path
+/// (all zero, one nonzero, or exactly half nonzero, the density cutoff,
+/// or one more than that) against a random candidate.
 fn kernel_pair(rng: &mut StdRng, kind: usize, dim: usize, specials: bool) -> (Vec<f32>, Vec<f32>) {
     match kind {
         0 => (
@@ -554,7 +556,7 @@ fn kernel_pair(rng: &mut StdRng, kind: usize, dim: usize, specials: bool) -> (Ve
             }
             (q, v)
         }
-        _ => {
+        3 => {
             let zero = sparse_vector(rng, dim, 0.0, false);
             let other = sparse_vector(rng, dim, 0.5, specials);
             match rng.random_range(0..3u32) {
@@ -562,6 +564,22 @@ fn kernel_pair(rng: &mut StdRng, kind: usize, dim: usize, specials: bool) -> (Ve
                 1 => (other, zero),
                 _ => (zero.clone(), zero),
             }
+        }
+        _ => {
+            let nonzeros = match rng.random_range(0..4u32) {
+                0 => 0,
+                1 => 1,
+                2 => dim / 2,
+                _ => dim / 2 + 1,
+            };
+            let mut q = sparse_vector(rng, dim, 0.0, false);
+            let mut slots: Vec<usize> = (0..dim).collect();
+            for i in 0..nonzeros.min(dim) {
+                let pick = rng.random_range(i..dim);
+                slots.swap(i, pick);
+                q[slots[i]] = nonzero(rng, specials);
+            }
+            (q, sparse_vector(rng, dim, 0.5, specials))
         }
     }
 }
@@ -593,12 +611,13 @@ proptest! {
     /// The scoring kernel (stored norms, prepared query, sparse fold with
     /// its two dense fallbacks) returns the same bits as
     /// `lim_embed::similarity` for every metric: on random sparse pairs,
-    /// disjoint supports, exactly cancelling sums and zero vectors, with
-    /// NaN, ±infinity, subnormal and overflowing components mixed in.
+    /// disjoint supports, exactly cancelling sums, zero vectors and
+    /// queries at the density cutoff, with NaN, ±infinity, subnormal and
+    /// overflowing components mixed in.
     #[test]
     fn kernel_scores_bit_identically_to_the_dense_definitions(
         seed in 0u64..1_000_000,
-        kind in 0usize..4,
+        kind in 0usize..5,
         specials in 0u32..2,
     ) {
         let specials = specials == 1;

@@ -1102,14 +1102,24 @@ fn terminated() -> bool {
     TERMINATED.load(std::sync::atomic::Ordering::SeqCst)
 }
 
-/// Forwards lines from `reader` into a channel on a thread, so the main
-/// loop can batch whatever has already arrived without blocking on I/O
-/// (and keeps noticing SIGTERM between polls).
+/// The most lines a wire stream's reader holds ahead of the stream loop;
+/// past that it stops reading until the loop catches up.
+const WIRE_QUEUED_LINES: usize = 4096;
+
+/// The most lines one drain of a wire stream takes. Any chopping of a
+/// stream into drains reports identically, so this bounds only how much
+/// is served before the loop next notices SIGTERM or a closed reader.
+const WIRE_BATCH_LINES: usize = 4096;
+
+/// Forwards lines from `reader` into a bounded channel on a thread, so
+/// the main loop can batch what has already arrived without blocking on
+/// I/O (and keeps noticing SIGTERM between polls), while a client that
+/// runs ahead of the engine waits in its own pipe, not in our memory.
 fn spawn_line_reader<R: std::io::Read + Send + 'static>(
     reader: R,
 ) -> std::sync::mpsc::Receiver<String> {
     use std::io::BufRead;
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = std::sync::mpsc::sync_channel(WIRE_QUEUED_LINES);
     std::thread::spawn(move || {
         for line in std::io::BufReader::new(reader).lines() {
             let Ok(line) = line else { break };
@@ -1123,8 +1133,9 @@ fn spawn_line_reader<R: std::io::Read + Send + 'static>(
 
 /// Speaks one `lim/wire-v1` stream end to end: waits for the `hello`,
 /// builds the engine from its recorded workload (or checks a warm one
-/// still matches), then repeatedly submits whatever `request` frames
-/// have arrived and answers with `disposition`/`latency` frames, ending
+/// still matches), then repeatedly submits the `request` frames that
+/// have arrived (at most [`WIRE_BATCH_LINES`] lines a drain) and answers
+/// with `disposition`/`latency` frames, ending
 /// with the final `report` frame on EOF or SIGTERM. A frame reader that
 /// goes away also ends the stream: what was submitted is drained, and the
 /// caller still writes the report and checkpoint files.
@@ -1247,7 +1258,8 @@ fn serve_wire_stream<W: std::io::Write>(
         match lines.recv_timeout(poll) {
             Ok(line) => {
                 batch.push(line);
-                while let Ok(line) = lines.try_recv() {
+                while batch.len() < WIRE_BATCH_LINES {
+                    let Ok(line) = lines.try_recv() else { break };
                     batch.push(line);
                 }
             }

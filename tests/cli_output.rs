@@ -1,7 +1,9 @@
 //! The `lim` binary's stdout: a reader that goes away early
 //! (`lim … | head`) is not an error. The command exits 0 and prints no
 //! panic, however much of its output the reader took. `lim serve --stdin`
-//! treats it as a drain: it still writes its report and checkpoint.
+//! treats it as a drain: it still writes its report and checkpoint, and
+//! it stops taking requests within a bounded batch instead of serving the
+//! rest of its input.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -66,20 +68,24 @@ fn wire_exits_quietly_when_the_reader_closes_after_one_line() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
-#[test]
-fn serve_stdin_drains_and_reports_when_the_frame_reader_closes_after_one_line() {
-    let (path, trace) = write_trace("cli-output-serve-trace.json");
-    // Every request is answered with at least one disposition frame, and
-    // none is shorter than a shed one.
-    let shortest_frame = "{\"frame\":\"disposition\",\"status\":\"shed\",\"ticket\":0}\n".len();
-    let frame_bytes = trace.requests() * shortest_frame;
-    assert!(
-        frame_bytes > PIPE_MAX_BYTES,
-        "frames are at least {frame_bytes} bytes"
-    );
+/// What `lim serve --stdin` left behind when its frame reader closed.
+struct ClosedServe {
+    trace: SessionTrace,
+    status: std::process::ExitStatus,
+    stderr: String,
+    report: PathBuf,
+    checkpoint: PathBuf,
+}
+
+/// Pipes `lim wire` over a 2,048-session trace into `lim serve --stdin
+/// --out R --save-checkpoint C`, reads the first frame, closes the frame
+/// reader, and waits for both processes. `name` keeps the files of
+/// concurrent tests apart.
+fn serve_until_the_reader_closes(name: &str) -> ClosedServe {
+    let (path, trace) = write_trace(&format!("cli-output-{name}-trace.json"));
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let report = dir.join("cli-output-serve-report.json");
-    let checkpoint = dir.join("cli-output-serve.limsnap");
+    let report = dir.join(format!("cli-output-{name}-report.json"));
+    let checkpoint = dir.join(format!("cli-output-{name}.limsnap"));
     let _ = std::fs::remove_file(&report);
     let _ = std::fs::remove_file(&checkpoint);
 
@@ -111,13 +117,33 @@ fn serve_stdin_drains_and_reports_when_the_frame_reader_closes_after_one_line() 
     drop(reader);
 
     let served = serve.wait_with_output().expect("wait for lim serve");
-    let stderr = String::from_utf8_lossy(&served.stderr);
-    assert_eq!(served.status.code(), Some(0), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     let wired = wire.wait_with_output().expect("wait for lim wire");
     assert_eq!(wired.status.code(), Some(0));
+    ClosedServe {
+        trace,
+        status: served.status,
+        stderr: String::from_utf8_lossy(&served.stderr).into_owned(),
+        report,
+        checkpoint,
+    }
+}
 
-    let doc = std::fs::read_to_string(&report).expect("the report was written");
+#[test]
+fn serve_stdin_drains_and_reports_when_the_frame_reader_closes_after_one_line() {
+    let closed = serve_until_the_reader_closes("serve");
+    // Every request is answered with at least one disposition frame, and
+    // none is shorter than a shed one.
+    let shortest_frame = "{\"frame\":\"disposition\",\"status\":\"shed\",\"ticket\":0}\n".len();
+    let frame_bytes = closed.trace.requests() * shortest_frame;
+    assert!(
+        frame_bytes > PIPE_MAX_BYTES,
+        "frames are at least {frame_bytes} bytes"
+    );
+    let stderr = &closed.stderr;
+    assert_eq!(closed.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    let doc = std::fs::read_to_string(&closed.report).expect("the report was written");
     let doc = lessismore::json::parse(&doc).expect("the report parses");
     let schema = doc.get("schema").and_then(|s| s.as_str());
     assert!(
@@ -125,10 +151,28 @@ fn serve_stdin_drains_and_reports_when_the_frame_reader_closes_after_one_line() 
         "schema: {schema:?}"
     );
     assert!(
-        std::fs::metadata(&checkpoint)
+        std::fs::metadata(&closed.checkpoint)
             .expect("the checkpoint was written")
             .len()
             > 0,
         "empty checkpoint"
+    );
+}
+
+#[test]
+fn serve_stdin_stops_reading_soon_after_the_frame_reader_closes() {
+    let closed = serve_until_the_reader_closes("bounded");
+    let stderr = &closed.stderr;
+    assert_eq!(closed.status.code(), Some(0), "stderr: {stderr}");
+    let served: usize = stderr
+        .split("served ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no \"served N requests\" line in stderr: {stderr}"));
+    let requests = closed.trace.requests();
+    assert!(
+        served * 2 < requests,
+        "served {served} of {requests} requests after the frame reader closed"
     );
 }

@@ -2,8 +2,63 @@
 //! seeds, so full experiment tables can be regenerated bit-for-bit.
 
 use lessismore::core::{evaluate, Pipeline, Policy, SearchLevels};
+use lessismore::embed::Embedding;
+use lessismore::llm::recommender::{recommend_descriptions, stable_text_seed};
 use lessismore::llm::{ModelProfile, Quant};
+use lessismore::serve::normalize_query;
 use lessismore::workloads::{augment::augment, augment::AugmentConfig, bfcl, geoengine};
+
+/// FNV-1a over the bits of every embedding the serving path computes on
+/// both benchmarks: each tool's indexed text, each evaluation query (raw,
+/// as the offline pipeline embeds it, and normalized, as the engine
+/// does) and each of its `Ẽ` contexts (the normalized query with one
+/// recommended description). The encoder promises bit-identical output,
+/// so one flipped bit anywhere changes this value.
+const EMBEDDING_FINGERPRINT: u64 = 0x0f29_53d9_7d16_ff2b;
+
+#[test]
+fn embeddings_match_their_pinned_fingerprint() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |embedding: &Embedding| {
+        let bits = embedding.as_slice().iter().map(|x| x.to_bits());
+        for byte in bits.flat_map(u32::to_le_bytes) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let model = ModelProfile::by_name("llama3.1-8b").expect("model exists");
+    let mut embeddings = 0;
+    for workload in [bfcl(42, 120), geoengine(42, 120)] {
+        let levels = SearchLevels::build(&workload);
+        let embedder = levels.embedder();
+        for tool in workload.registry.iter() {
+            fold(&embedder.embed(&tool.embedding_text()));
+            embeddings += 1;
+        }
+        for query in &workload.queries {
+            let normalized = normalize_query(&query.text);
+            fold(&embedder.embed(&query.text));
+            fold(&embedder.embed(&normalized));
+            let gold: Vec<&str> = query
+                .steps
+                .iter()
+                .filter_map(|s| workload.registry.get_by_name(&s.tool))
+                .map(|t| t.description())
+                .collect();
+            let seed = stable_text_seed(&normalized);
+            for rec in recommend_descriptions(&model, Quant::Q8_0, &normalized, &gold, seed) {
+                fold(&embedder.embed_with_context(&normalized, &rec));
+                embeddings += 1;
+            }
+            embeddings += 2;
+        }
+    }
+    assert!(embeddings > 1_000, "only {embeddings} embeddings");
+    assert_eq!(
+        hash, EMBEDDING_FINGERPRINT,
+        "the fingerprint of {embeddings} embeddings is {hash:#018x}"
+    );
+}
 
 #[test]
 fn workloads_are_pure_functions_of_seed() {
