@@ -4,7 +4,8 @@
 //! serving path's IDF-weighted query and `Ẽ` context), k-NN search (at catalog sizes from 46 to
 //! 4096, flat, IVF and HNSW), HNSW graph construction, clustering, level
 //! construction and the full controller
-//! decision, all of which must be negligible next to a single LLM decode
+//! decision (and its arbitration alone, over precomputed `Ẽ` contexts),
+//! all of which must be negligible next to a single LLM decode
 //! step (~50 ms on the Orin). Also the serving engine's per-request
 //! execution (`Pipeline::run_query_offered`), timed on a k=3 subset and
 //! on the full catalog: it sizes prompts by arithmetic, so its cost no
@@ -140,6 +141,7 @@ fn bench_levels_and_controller(c: &mut Criterion) {
 
     let levels = SearchLevels::build(&workload);
     let controller = ToolController::new(&levels, ControllerConfig::with_k(3));
+    let model = ModelProfile::by_name("llama3.1-8b").expect("model exists");
     let recs = vec![
         "converts a monetary amount between currencies".to_string(),
         "fetches the weather forecast of a city".to_string(),
@@ -148,7 +150,39 @@ fn bench_levels_and_controller(c: &mut Criterion) {
         b.iter(|| controller.select(black_box("convert 100 USD to EUR"), black_box(&recs)))
     });
 
-    let model = ModelProfile::by_name("llama3.1-8b").expect("model exists");
+    // Arbitration alone, as a serving drain's stage 2 runs it: the `Ẽ`
+    // contexts of every bfcl(42, 120) query, embedded up front as
+    // `ServeEngine` embeds them, then one `select_embedded` per query.
+    // One iteration is all 120 queries.
+    let bfcl = lim_workloads::bfcl(42, 120);
+    let bfcl_levels = SearchLevels::build(&bfcl);
+    let bfcl_controller = ToolController::new(&bfcl_levels, ControllerConfig::with_k(3));
+    let contexts: Vec<Vec<lim_embed::Embedding>> = bfcl
+        .queries
+        .iter()
+        .map(|query| {
+            let normalized = lim_serve::normalize_query(&query.text);
+            let gold: Vec<&str> = query
+                .steps
+                .iter()
+                .filter_map(|s| bfcl.registry.get_by_name(&s.tool))
+                .map(|t| t.description())
+                .collect();
+            let seed = stable_text_seed(&normalized);
+            recommend_descriptions(&model, Quant::Q8_0, &normalized, &gold, seed)
+                .iter()
+                .map(|rec| bfcl_levels.embedder().embed_with_context(&normalized, rec))
+                .collect()
+        })
+        .collect();
+    c.bench_function("controller/select_embedded/bfcl", |b| {
+        b.iter(|| {
+            for query_contexts in &contexts {
+                black_box(bfcl_controller.select_embedded(black_box(query_contexts)));
+            }
+        })
+    });
+
     let pipeline = Pipeline::new(&workload, &levels, &model, Quant::Q4KM);
     let query = &workload.queries[0];
     let k3 = controller.select(&query.text, &recs).tool_indices;

@@ -1,7 +1,5 @@
 //! The online Tool Controller (§III-C).
 
-use lim_vecstore::VectorIndex;
-
 use crate::levels::SearchLevels;
 
 /// Which Search Level the controller committed to for a query.
@@ -112,6 +110,9 @@ impl<'a> ToolController<'a> {
     /// computed — the entry point for callers that cache them (the serving
     /// engine's query-embedding cache feeds this directly, skipping the
     /// encoder on a hit).
+    ///
+    /// Each context is prepared once (its norm and nonzero support) and
+    /// that one prepared query searches both levels.
     pub fn select_embedded(&self, contexts: &[lim_embed::Embedding]) -> ToolSelection {
         if contexts.is_empty() {
             return self.full_selection(0.0, 0.0);
@@ -123,15 +124,17 @@ impl<'a> ToolController<'a> {
         let mut l2_best = Vec::new();
         let mut l2_clusters: Vec<(usize, f32)> = Vec::new();
 
+        let metric = self.levels.tool_index().metric();
         for embedding in contexts {
-            let l1_hits = self.levels.tool_index().search(embedding.as_slice(), k);
+            let query = metric.prepare(embedding.as_slice());
+            let l1_hits = self.levels.tool_index().search_prepared(&query, k);
             if let Some(top) = l1_hits.first() {
                 l1_best.push(top.score);
             }
             for hit in l1_hits {
                 l1_tools.push(hit.id as usize);
             }
-            let l2_hits = self.levels.cluster_index().search(embedding.as_slice(), k);
+            let l2_hits = self.levels.cluster_index().search_prepared(&query, k);
             if let Some(top) = l2_hits.first() {
                 l2_best.push(top.score);
             }

@@ -3,7 +3,8 @@
 use lim_cluster::{agglomerative, cosine_distance, distance_matrix, silhouette_score, Linkage};
 use lim_embed::{Embedder, Embedding, IdfModel};
 use lim_vecstore::{
-    FlatIndex, HnswIndex, HnswParams, IvfIndex, IvfParams, Metric, Neighbor, VectorIndex,
+    FlatIndex, HnswIndex, HnswParams, IvfIndex, IvfParams, Metric, Neighbor, PreparedQuery,
+    VectorIndex,
 };
 use lim_workloads::augment::{augment, AugmentConfig};
 use lim_workloads::Workload;
@@ -57,6 +58,27 @@ impl ToolIndex {
             ToolIndex::Flat(_) => "flat",
             ToolIndex::Ivf(_) => "ivf",
             ToolIndex::Hnsw(_) => "hnsw",
+        }
+    }
+
+    /// The metric the index scores with.
+    pub fn metric(&self) -> Metric {
+        match self {
+            ToolIndex::Flat(index) => index.metric(),
+            ToolIndex::Ivf(index) => index.metric(),
+            ToolIndex::Hnsw(index) => index.metric(),
+        }
+    }
+
+    /// [`VectorIndex::search`] with a query already prepared, so one
+    /// preparation serves both search levels; a query prepared for
+    /// another metric is prepared again (see
+    /// [`FlatIndex::search_prepared`]).
+    pub fn search_prepared(&self, query: &PreparedQuery<'_>, k: usize) -> Vec<Neighbor> {
+        match self {
+            ToolIndex::Flat(index) => index.search_prepared(query, k),
+            ToolIndex::Ivf(index) => index.search_prepared(query, k),
+            ToolIndex::Hnsw(index) => index.search_prepared(query, k),
         }
     }
 

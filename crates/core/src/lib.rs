@@ -50,7 +50,7 @@ pub use levels::{chain_coverage, IndexSpec, LevelsConfig, SearchLevels, ToolClus
 pub use metrics::{
     evaluate, evaluate_repeated, normalize_against, BatchMetrics, MeanCi, RepeatedMetrics,
 };
-pub use parallel::{evaluate_parallel, resolve_threads, shard_bounds, sharded_map};
+pub use parallel::{evaluate_parallel, resolve_threads, sharded_map};
 pub use persist::{
     levels_from_snapshot, levels_from_snapshot_prefixed, snapshot_levels, snapshot_levels_prefixed,
     write_levels_snapshot, LoadLevelsError, Snapshot, SnapshotError, SnapshotWriter,

@@ -4,11 +4,16 @@
 //! batches, while [`Pipeline::run_query`] is a pure function of
 //! `(query, policy, pipeline seed)` — every stochastic draw derives its
 //! own seed from those inputs, never from execution order. That purity is
-//! what this module exploits: a batch is split into **contiguous shards**,
-//! one `std::thread` scope runs each shard, and the per-shard outputs are
-//! stitched back together in canonical (input) order. The merged result is
-//! therefore **bit-identical** to the sequential run for every thread
-//! count — `tests/parallel.rs` and the property test below prove it.
+//! what this module exploits: worker threads in one `std::thread` scope
+//! **claim small chunks** of consecutive items from a shared counter
+//! until the batch is done, the calling thread among them, and every
+//! output is placed back by its item's index. Which worker ran which
+//! chunk depends on timing, but no output does, so the merged result is
+//! **bit-identical** to the sequential run for every thread count —
+//! `tests/parallel.rs` and the property test below prove it. Claiming
+//! rather than fixed halves matters when item costs differ widely, as a
+//! serving drain's cold, k-NN-only and refill selection jobs do (about
+//! 10× apart): no worker idles while another holds the expensive ones.
 //!
 //! No runtime dependency is involved: plain [`std::thread::scope`].
 //!
@@ -27,6 +32,8 @@
 //! assert_eq!(sequential, parallel);
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use crate::metrics::BatchMetrics;
 use crate::pipeline::{Pipeline, Policy, QueryResult};
 
@@ -42,75 +49,79 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Splits `n` items into at most `threads` contiguous shards whose sizes
-/// differ by at most one (the first `n % threads` shards are longer).
-///
-/// For nonzero `threads` the boundaries depend only on `(n, threads)`,
-/// making shard assignment reproducible across runs and machines;
-/// `threads == 0` resolves to the machine's parallelism first. Either
-/// way [`sharded_map`] merges in canonical order, so outputs never
-/// depend on the boundary placement.
-pub fn shard_bounds(n: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let threads = resolve_threads(threads).min(n.max(1));
-    let base = n / threads;
-    let extra = n % threads;
-    let mut bounds = Vec::with_capacity(threads);
-    let mut start = 0;
-    for shard in 0..threads {
-        let len = base + usize::from(shard < extra);
-        if len == 0 {
-            break;
-        }
-        bounds.push(start..start + len);
-        start += len;
-    }
-    bounds
-}
+/// Items a worker claims at a time in [`sharded_map`]: small enough that
+/// workers finish together when item costs differ widely, large enough
+/// that claiming stays cheap next to the work.
+const CHUNK: usize = 4;
 
 /// Applies `f` to every item of `items` across `threads` worker threads
-/// and returns the outputs **in input order**.
+/// (0 = available parallelism) and returns the outputs **in input
+/// order**.
 ///
 /// `f` receives the item's global index, so seeded work can key off the
-/// canonical position rather than the executing thread. Shards are
-/// contiguous [`shard_bounds`] slices; the output is the concatenation of
-/// shard outputs in shard order, which equals the sequential map. The
-/// calling thread runs the last shard itself, so `threads` shards cost
-/// `threads - 1` spawns.
+/// canonical position rather than the executing thread. Workers claim
+/// [`CHUNK`] consecutive items at a time from a shared counter until
+/// none are left, so a worker that drew cheap items claims more and none
+/// sits idle while another holds the expensive ones. The calling thread
+/// works too, so `threads` workers cost `threads - 1` spawns, and a batch
+/// of one chunk runs inline. Each output is placed by its item's index,
+/// so the result equals the sequential map for every thread count and
+/// every claiming order.
 pub fn sharded_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let run = |range: std::ops::Range<usize>| -> Vec<U> {
-        let offset = range.start;
-        items[range]
-            .iter()
-            .enumerate()
-            .map(|(i, x)| f(offset + i, x))
-            .collect()
-    };
-    let mut bounds = shard_bounds(items.len(), threads);
-    // One shard (or a trivial batch): run inline, no thread overhead.
-    let Some(last) = bounds.pop() else {
-        return Vec::new();
-    };
-    if bounds.is_empty() {
-        return run(last);
+    let threads = resolve_threads(threads).min(items.len().div_ceil(CHUNK));
+    if threads <= 1 {
+        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let mut merged = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let run = &run;
-        let handles: Vec<_> = bounds
-            .into_iter()
-            .map(|range| scope.spawn(move || run(range)))
-            .collect();
-        let tail = run(last);
-        for handle in handles {
-            merged.extend(handle.join().expect("shard worker panicked"));
+    let next = AtomicUsize::new(0);
+    // One worker's claims: the start of each chunk it claimed (ascending,
+    // since the counter only grows) and its outputs in claim order. The
+    // outputs have room for an even share of the batch up front: growing
+    // them by doubling instead left freed blocks in the worker's
+    // allocator arena and raised the serving engine's peak memory.
+    let work = || {
+        let mut starts = Vec::new();
+        let mut outputs = Vec::with_capacity(items.len().div_ceil(threads) + CHUNK);
+        loop {
+            let start = next.fetch_add(CHUNK, Ordering::Relaxed);
+            if start >= items.len() {
+                return (starts, outputs);
+            }
+            let end = (start + CHUNK).min(items.len());
+            starts.push(start);
+            outputs.extend((start..end).map(|i| f(i, &items[i])));
         }
-        merged.extend(tail);
+    };
+    let claims: Vec<(Vec<usize>, Vec<U>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut claims = vec![work()];
+        claims.extend(
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("sharded_map worker panicked")),
+        );
+        claims
     });
+    // Every chunk start was claimed by exactly one worker, and each
+    // worker's claims ascend: walk the chunks in order, taking each from
+    // the worker whose next claim it is.
+    let mut workers: Vec<_> = claims
+        .into_iter()
+        .map(|(starts, outputs)| (starts.into_iter(), outputs.into_iter()))
+        .collect();
+    let mut merged = Vec::with_capacity(items.len());
+    for start in (0..items.len()).step_by(CHUNK) {
+        let (starts, outputs) = workers
+            .iter_mut()
+            .find(|(starts, _)| starts.as_slice().first() == Some(&start))
+            .expect("every chunk is claimed once");
+        starts.next();
+        merged.extend(outputs.take(CHUNK.min(items.len() - start)));
+    }
     merged
 }
 
@@ -142,26 +153,6 @@ mod tests {
     use crate::metrics::evaluate;
     use lim_llm::{ModelProfile, Quant};
     use proptest::prelude::*;
-
-    #[test]
-    fn shard_bounds_partition_exactly() {
-        for (n, t) in [(0, 4), (1, 4), (7, 3), (8, 3), (9, 3), (230, 8), (5, 16)] {
-            let bounds = shard_bounds(n, t);
-            let mut expected_start = 0;
-            for b in &bounds {
-                assert_eq!(b.start, expected_start, "n={n} t={t}");
-                assert!(!b.is_empty(), "empty shard for n={n} t={t}");
-                expected_start = b.end;
-            }
-            assert_eq!(expected_start, n, "n={n} t={t}");
-            if n > 0 {
-                let sizes: Vec<usize> = bounds.iter().map(std::ops::Range::len).collect();
-                let min = sizes.iter().min().unwrap();
-                let max = sizes.iter().max().unwrap();
-                assert!(max - min <= 1, "unbalanced shards {sizes:?}");
-            }
-        }
-    }
 
     #[test]
     fn sharded_map_preserves_order() {

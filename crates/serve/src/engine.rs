@@ -20,8 +20,11 @@
 //!    reservation time, so *when* a fill lands can never change them.
 //! 2. **Compute** (parallel): run the unique selection jobs —
 //!    recommender simulation, `Ẽ` embeddings, k-NN arbitration — over
-//!    [`lim_core::sharded_map`]. Every job is a pure function of the
-//!    normalized query, so shard boundaries cannot change values.
+//!    [`lim_core::sharded_map`], whose workers claim small chunks of jobs
+//!    as they free up (a cold job costs about 10× a k-NN-only one or a
+//!    refill). Every job is a pure function of the normalized query and
+//!    each output is placed by its job's index, so which worker ran a
+//!    job cannot change values.
 //! 3. **Fill** (sequential): write computed values into the reserved
 //!    cache slots so the next batch (the engine is long-lived) starts
 //!    warm.
@@ -332,8 +335,10 @@ pub(crate) struct PlannedRequest {
 /// One unique selection job, produced by stage 1 and run by stage 2.
 #[derive(Debug, Clone)]
 pub(crate) struct SelectionJob {
+    /// The query's normalized text (see [`normalize_query`]): what the
+    /// job embeds and bills.
     pub(crate) key: String,
-    /// First request that demanded the key (supplies the query text).
+    /// First request that demanded the key (supplies the gold chain).
     query_index: usize,
     /// Embeddings recovered from the cache, if the embed lookup hit.
     cached_embeddings: Option<Arc<QueryEmbeddings>>,
@@ -850,9 +855,10 @@ impl ServeEngine {
     fn prewarm_from_training_pool(&mut self) {
         let workload = Arc::clone(&self.workload);
         for query in &workload.train_queries {
-            let key = self.embed_key(&normalize_query(&query.text));
-            let embeddings = Arc::new(self.build_embeddings(query));
-            self.embed_cache.seed(key, embeddings);
+            let normalized = normalize_query(&query.text);
+            let embeddings = Arc::new(self.build_embeddings(&normalized, query));
+            self.embed_cache
+                .seed(self.embed_key(&normalized), embeddings);
         }
     }
 
@@ -898,35 +904,34 @@ impl ServeEngine {
         }
     }
 
-    /// Computes the latent footprint of one query (stage-2 work).
+    /// Computes the latent footprint of `query`, whose
+    /// [normalized](normalize_query) text is `normalized` (stage-2 work).
     ///
     /// Everything here derives from the *normalized* text — the cache
     /// key — never the raw text: two queries differing only in case or
     /// punctuation must alias to byte-identical embeddings, or a cache
     /// hit could return something a miss would not have computed.
-    fn build_embeddings(&self, query: &Query) -> QueryEmbeddings {
+    fn build_embeddings(&self, normalized: &str, query: &Query) -> QueryEmbeddings {
         let embedder = self.levels.embedder();
-        let normalized = normalize_query(&query.text);
-        let query_embedding = embedder.embed(&normalized);
+        let query_embedding = embedder.embed(normalized);
         match self.config.policy {
             Policy::LessIsMore { .. } => {
-                let gold: Vec<String> = query
+                let gold: Vec<&str> = query
                     .steps
                     .iter()
                     .filter_map(|s| self.workload.registry.get_by_name(&s.tool))
-                    .map(|t| t.description().to_owned())
+                    .map(|t| t.description())
                     .collect();
-                let gold_refs: Vec<&str> = gold.iter().map(String::as_str).collect();
                 let recommendations = recommend_descriptions(
                     &self.model,
                     self.config.quant,
-                    &normalized,
-                    &gold_refs,
-                    stable_text_seed(&normalized),
+                    normalized,
+                    &gold,
+                    stable_text_seed(normalized),
                 );
                 let contexts = recommendations
                     .iter()
-                    .map(|rec| embedder.embed_with_context(&normalized, rec))
+                    .map(|rec| embedder.embed_with_context(normalized, rec))
                     .collect();
                 QueryEmbeddings {
                     query: query_embedding,
@@ -1125,10 +1130,11 @@ impl ServeEngine {
         pipeline: &Pipeline<'_>,
         job: &SelectionJob,
     ) -> ComputedSelection {
-        let query = &self.workload.queries[job.query_index];
         let embeddings = match &job.cached_embeddings {
             Some(cached) => Arc::clone(cached),
-            None => Arc::new(self.build_embeddings(query)),
+            None => {
+                Arc::new(self.build_embeddings(&job.key, &self.workload.queries[job.query_index]))
+            }
         };
         // Arbitration runs even for embeddings-only refills: if the memo
         // entry is evicted later in the trace, a subsequent request

@@ -76,6 +76,7 @@ use std::collections::VecDeque;
 
 use lim_core::ServiceLevel;
 use lim_workloads::carbon::CarbonTrace;
+use lim_workloads::trace::ArrivalProcess;
 
 /// Ascend only when the full-fidelity projection clears the budget with
 /// this much headroom; between `0.9·cap` and `cap` the governor holds
@@ -132,6 +133,25 @@ impl GovernorConfig {
         self.power_capped() || self.carbon_capped()
     }
 
+    /// Checks that a stream whose arrival process is `arrivals` can be
+    /// governed: an [active](Self::active) governor needs an open-loop
+    /// stream, since a back-to-back stream has no arrival clock to
+    /// window and would run ungoverned.
+    ///
+    /// # Errors
+    ///
+    /// [`ClosedLoopGovernor`] when the governor is active and `arrivals`
+    /// is [`ArrivalProcess::BackToBack`].
+    pub fn check_arrivals(&self, arrivals: ArrivalProcess) -> Result<(), ClosedLoopGovernor> {
+        if self.active() && arrivals == ArrivalProcess::BackToBack {
+            return Err(ClosedLoopGovernor {
+                power_capped: self.power_capped(),
+                carbon_capped: self.carbon_capped(),
+            });
+        }
+        Ok(())
+    }
+
     /// Canonical form: degenerate caps/budgets collapse to the `0.0`
     /// "off" encoding and a degenerate window to the default, so every
     /// equivalent configuration checkpoints — and validates — as the
@@ -149,6 +169,35 @@ impl GovernorConfig {
         self
     }
 }
+
+/// A power cap or carbon budget set for a closed-loop (back-to-back)
+/// stream, which the governor cannot act on (see
+/// [`GovernorConfig::check_arrivals`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClosedLoopGovernor {
+    /// A power cap is set.
+    pub power_capped: bool,
+    /// A carbon budget is set.
+    pub carbon_capped: bool,
+}
+
+impl std::fmt::Display for ClosedLoopGovernor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let knobs = match (self.power_capped, self.carbon_capped) {
+            (true, true) => "--power-cap-w and --carbon-budget govern",
+            (true, false) => "--power-cap-w governs",
+            _ => "--carbon-budget governs",
+        };
+        write!(
+            f,
+            "{knobs} open-loop streams only, but this stream is back-to-back and has no \
+             arrival clock to window; give it arrival times with --arrivals poisson:RATE \
+             or burst:RATE:SIZE"
+        )
+    }
+}
+
+impl std::error::Error for ClosedLoopGovernor {}
 
 /// The engine-persistent governor machine: current rung, virtual clock,
 /// and the sliding window of admitted-energy samples. Only open-loop
@@ -304,6 +353,25 @@ mod tests {
         assert!(capped(25.0, 60.0).normalized().active());
         let bad_window = capped(25.0, f64::NAN).normalized();
         assert_eq!(bad_window.window_s, DEFAULT_WINDOW_S);
+    }
+
+    #[test]
+    fn an_active_governor_refuses_a_back_to_back_stream() {
+        let open = ArrivalProcess::Poisson { rate_rps: 0.06 };
+        let carbon = GovernorConfig {
+            carbon_budget_g_per_h: 100.0,
+            ..GovernorConfig::default()
+        };
+        for config in [capped(25.0, 60.0), carbon] {
+            let err = config
+                .check_arrivals(ArrivalProcess::BackToBack)
+                .unwrap_err();
+            assert!(err.to_string().contains("--arrivals"), "{err}");
+            assert_eq!(config.check_arrivals(open), Ok(()));
+        }
+        for inert in [GovernorConfig::default(), capped(f64::INFINITY, 60.0)] {
+            assert_eq!(inert.check_arrivals(ArrivalProcess::BackToBack), Ok(()));
+        }
     }
 
     #[test]

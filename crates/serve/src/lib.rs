@@ -129,7 +129,7 @@ pub use engine::{
     SNAPSHOT_DECODE_SECONDS_PER_BYTE,
 };
 pub use fleet::{partition, FleetConfig, FleetEngine, FleetSession, FleetSubmitError};
-pub use governor::{GovernorConfig, GovernorState, ASCEND_HEADROOM};
+pub use governor::{ClosedLoopGovernor, GovernorConfig, GovernorState, ASCEND_HEADROOM};
 pub use report::{
     AdmissionReport, BootReport, CatalogReport, EnergyReport, FleetReport, LatencyStats,
     ServeReport, TenantReport,

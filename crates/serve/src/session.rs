@@ -214,7 +214,10 @@ impl ServeEngine {
             ));
         }
 
-        // ---- Stage 2: parallel unique-selection compute.
+        // ---- Stage 2: parallel unique-selection compute. Workers claim
+        // small chunks of jobs (cold, k-NN-only and refill jobs differ
+        // about 10x in cost) and outputs are placed by job index, so
+        // `computed[slot]` is the job in `jobs[slot]` for any worker count.
         let pipeline = Pipeline::new(&self.workload, &self.levels, &self.model, self.config.quant)
             .with_seed(self.config.seed)
             .with_device(self.config.device.profile());

@@ -1,7 +1,7 @@
 //! Brute-force exact index.
 
 use crate::neighbor::top_k;
-use crate::{IndexError, Metric, Neighbor, Postings, VectorIndex};
+use crate::{IndexError, Metric, Neighbor, Postings, PreparedQuery, VectorIndex};
 
 /// Exact k-NN index that scans every stored vector.
 ///
@@ -147,6 +147,19 @@ impl FlatIndex {
     pub fn search_with_stats(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, usize) {
         (self.search(query, k), self.len())
     }
+
+    /// [`VectorIndex::search`] with a query already prepared, so one
+    /// preparation can serve several indexes. A query prepared for
+    /// another metric is prepared again for this index's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query's dimension differs from the index's.
+    pub fn search_prepared(&self, query: &PreparedQuery<'_>, k: usize) -> Vec<Neighbor> {
+        assert_eq!(query.values().len(), self.dim, "query dimension mismatch");
+        let query = query.for_metric(self.metric);
+        top_k(self.postings.scan(&query, &self.deleted).collect(), k)
+    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -160,9 +173,7 @@ impl VectorIndex for FlatIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let query = self.metric.prepare(query);
-        top_k(self.postings.scan(&query, &self.deleted).collect(), k)
+        self.search_prepared(&self.metric.prepare(query), k)
     }
 }
 

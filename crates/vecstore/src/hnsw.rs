@@ -21,9 +21,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::metric::Query;
 use crate::neighbor::top_k;
-use crate::{IndexError, Metric, Neighbor, Postings, VectorIndex};
+use crate::{IndexError, Metric, Neighbor, Postings, PreparedQuery, VectorIndex};
 
 /// Hard cap on node layers; `ml = 1/ln(m)` makes layers above this
 /// astronomically unlikely for any practical catalog size.
@@ -438,12 +437,26 @@ impl HnswIndex {
     /// query cost — the machine-independent latency proxy the ann bench
     /// gates on (wall-clock is not comparable across CI machines).
     pub fn search_with_stats(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, usize) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        self.search_prepared_with_stats(&self.metric.prepare(query), k)
+    }
+
+    /// [`VectorIndex::search`] with a query already prepared (see
+    /// [`crate::FlatIndex::search_prepared`]).
+    pub fn search_prepared(&self, query: &PreparedQuery<'_>, k: usize) -> Vec<Neighbor> {
+        self.search_prepared_with_stats(query, k).0
+    }
+
+    fn search_prepared_with_stats(
+        &self,
+        query: &PreparedQuery<'_>,
+        k: usize,
+    ) -> (Vec<Neighbor>, usize) {
+        assert_eq!(query.values().len(), self.dim, "query dimension mismatch");
         let n = self.postings.len();
         if n == self.deleted.len() || k == 0 {
             return (Vec::new(), 0);
         }
-        let query = self.metric.prepare(query);
+        let query = query.for_metric(self.metric);
         // Widen the beam by the tombstone count so dead nodes — which
         // still route and occupy beam slots — cannot crowd live answers
         // out of the ef window.
@@ -475,7 +488,7 @@ impl HnswIndex {
         (top_k(candidates, k), evals)
     }
 
-    fn score_node(&self, query: &Query<'_>, node: u32, evals: &mut usize) -> f32 {
+    fn score_node(&self, query: &PreparedQuery<'_>, node: u32, evals: &mut usize) -> f32 {
         *evals += 1;
         self.postings.score(query, node as usize)
     }
@@ -485,7 +498,7 @@ impl HnswIndex {
     /// improvement under `total_cmp`), so the walk is deterministic.
     fn greedy_step(
         &self,
-        query: &Query<'_>,
+        query: &PreparedQuery<'_>,
         mut current: Scored,
         layer: usize,
         evals: &mut usize,
@@ -512,7 +525,7 @@ impl HnswIndex {
     /// nodes (unordered; callers rank them).
     fn search_layer(
         &self,
-        query: &Query<'_>,
+        query: &PreparedQuery<'_>,
         entry: Scored,
         ef: usize,
         layer: usize,

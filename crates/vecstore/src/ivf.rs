@@ -2,7 +2,7 @@
 
 use crate::kmeans::{kmeans, nearest};
 use crate::neighbor::top_k;
-use crate::{IndexError, Metric, Neighbor, Postings, VectorIndex};
+use crate::{IndexError, Metric, Neighbor, Postings, PreparedQuery, VectorIndex};
 
 /// Construction parameters for [`IvfIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,20 +278,34 @@ impl IvfIndex {
     /// query cost (coarse centroid rankings plus every probed posting) —
     /// the machine-independent latency proxy the ann bench gates on.
     pub fn search_with_stats(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, usize) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        self.search_prepared_with_stats(&self.metric.prepare(query), k)
+    }
+
+    /// [`VectorIndex::search`] with a query already prepared (see
+    /// [`crate::FlatIndex::search_prepared`]).
+    pub fn search_prepared(&self, query: &PreparedQuery<'_>, k: usize) -> Vec<Neighbor> {
+        self.search_prepared_with_stats(query, k).0
+    }
+
+    fn search_prepared_with_stats(
+        &self,
+        query: &PreparedQuery<'_>,
+        k: usize,
+    ) -> (Vec<Neighbor>, usize) {
+        assert_eq!(query.values().len(), self.dim, "query dimension mismatch");
+        let query = query.for_metric(self.metric);
         // Rank cells by centroid distance, probe the best nprobe.
         let mut cell_order: Vec<(usize, f32)> = self
             .centroids
             .iter()
             .enumerate()
-            .map(|(i, c)| (i, lim_embed::similarity::euclidean_sq(query, c)))
+            .map(|(i, c)| (i, lim_embed::similarity::euclidean_sq(query.values(), c)))
             .collect();
         cell_order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let probes = self.params.nprobe.max(1).min(cell_order.len());
 
         // Tombstoned postings are skipped without a distance evaluation,
         // so every candidate cost exactly one.
-        let query = self.metric.prepare(query);
         let mut candidates = Vec::new();
         for (cell, _) in cell_order.into_iter().take(probes) {
             candidates.extend(self.cells[cell].scan(&query, &self.deleted));

@@ -67,7 +67,7 @@ pub use flat::FlatIndex;
 pub use hnsw::{HnswIndex, HnswParams};
 pub use ivf::{IvfIndex, IvfParams};
 pub use kmeans::{kmeans, KmeansResult};
-pub use metric::Metric;
+pub use metric::{Metric, PreparedQuery};
 pub use neighbor::Neighbor;
 pub use postings::Postings;
 pub use serial::{

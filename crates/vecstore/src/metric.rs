@@ -1,5 +1,7 @@
 //! Scoring metrics with a uniform "higher is better" convention.
 
+use std::borrow::Cow;
+
 use lim_embed::similarity;
 
 /// Similarity metric used to score candidates during search.
@@ -36,22 +38,25 @@ impl Metric {
     /// Prepares `query` for scoring against many candidates: its norm and
     /// its nonzero support are computed once, not once per candidate.
     ///
-    /// One pass collects the support. For [`Metric::Cosine`] and
-    /// [`Metric::InnerProduct`] the norm then sums the squares over that
-    /// support only, in index order. That equals
+    /// A prepared query can search several indexes (see
+    /// [`crate::FlatIndex::search_prepared`]); an index whose metric is
+    /// not `self` prepares the values again for its own.
+    ///
+    /// For [`Metric::Cosine`] and [`Metric::InnerProduct`] the norm sums
+    /// the squares over the support only, in index order. That equals
     /// [`similarity::norm`] bit for bit: every skipped square is `+0.0`,
     /// and adding `+0.0` changes no sum but `-0.0`, which a sum of
     /// squares never holds once it has one addend. An empty or dense
     /// support takes the dense norm.
-    pub(crate) fn prepare(self, query: &[f32]) -> Query<'_> {
-        let support = Query::support(self, query);
+    pub fn prepare(self, query: &[f32]) -> PreparedQuery<'_> {
+        let support = PreparedQuery::support(self, query);
         let norm = match &support {
             Some(support) if !support.is_empty() => {
                 support.iter().map(|&(_, x)| x * x).sum::<f32>().sqrt()
             }
             _ => similarity::norm(query),
         };
-        Query {
+        PreparedQuery {
             metric: self,
             values: query,
             norm,
@@ -60,37 +65,40 @@ impl Metric {
     }
 }
 
-/// A query prepared for one search: the scoring kernel every index uses.
+/// A query prepared for searching: the scoring kernel every index uses.
 ///
 /// Each candidate is scored with its norm, which the indexes store once
 /// when the vector is added (see [`crate::Postings`]). Every score is
 /// bit-identical to the dense definitions in [`lim_embed::similarity`]:
 ///
-/// * [`Metric::Cosine`] and [`Metric::InnerProduct`] fold `q[j] * v[j]`
-///   over the query's nonzero components only, in index order, with the
-///   same `Sum` as the dense fold. Every skipped product is `±0` when `v`
-///   is finite, and adding `±0` to a nonzero sum leaves it unchanged,
-///   while `±0 + p == p`. So the sparse sum equals the dense one bit for
-///   bit whenever it is nonzero. A query that is more than half nonzero
-///   folds densely: skipping so few zeros saves less than the indexing
-///   costs.
-/// * Two cases take the dense fold instead: a `±0` sparse sum, whose sign
-///   the skipped products may flip (and [`crate::Neighbor::ranking_cmp`]
-///   tells `-0.0` from `0.0`), and a non-finite norm on either side,
-///   which is how a NaN or infinite component shows (`NaN * 0` is NaN,
-///   not `±0`).
+/// * [`Metric::Cosine`] and [`Metric::InnerProduct`] sum `q[j] * v[j]`
+///   over the query's nonzero components only, in index order, starting
+///   from `-0.0` like the dense fold's `Sum`. Every skipped product is
+///   `±0` when `v` is finite, and adding `±0` to a nonzero sum leaves it
+///   unchanged, while `±0 + p == p`. So the sparse sum equals the dense
+///   one bit for bit whenever it is nonzero. The same holds when the
+///   products with `v[j] == 0` are skipped as well, which is how
+///   [`crate::Postings`] scans term at a time. A query that is more
+///   than half nonzero folds densely: skipping so few zeros saves less
+///   than the indexing costs.
+/// * One finish step serves both ways of summing. Two cases take the
+///   dense fold there: a `±0` sparse sum, whose sign the skipped products
+///   may flip (and [`crate::Neighbor::ranking_cmp`] tells `-0.0` from
+///   `0.0`), and a non-finite norm on either side, which is how a NaN or
+///   infinite component shows (`NaN * 0` is NaN, not `±0`). A zero norm
+///   on either side scores [`Metric::Cosine`] as `0`.
 /// * [`Metric::Euclidean`] is always dense.
 #[derive(Debug, Clone)]
-pub(crate) struct Query<'a> {
+pub struct PreparedQuery<'a> {
     metric: Metric,
     values: &'a [f32],
     norm: f32,
     /// The nonzero components as `(index, value)`, ascending; `None`
     /// when dot products fold densely.
-    support: Option<Vec<(usize, f32)>>,
+    support: Option<Vec<(u32, f32)>>,
 }
 
-impl<'a> Query<'a> {
+impl<'a> PreparedQuery<'a> {
     /// Prepares `values`, whose L2 norm the caller already holds.
     pub(crate) fn new(metric: Metric, values: &'a [f32], norm: f32) -> Self {
         Self {
@@ -101,20 +109,48 @@ impl<'a> Query<'a> {
         }
     }
 
-    /// The nonzero components of `values`, collected in one pass, or
+    /// The metric this query was prepared for.
+    pub fn metric(&self) -> Metric {
+        self.metric
+    }
+
+    /// The query's components.
+    pub fn values(&self) -> &'a [f32] {
+        self.values
+    }
+
+    /// This query prepared for `metric`: itself when it already is, else
+    /// its values prepared again, so an index never scores a query
+    /// prepared for another metric.
+    pub(crate) fn for_metric(&self, metric: Metric) -> Cow<'_, PreparedQuery<'a>> {
+        if self.metric == metric {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(metric.prepare(self.values))
+        }
+    }
+
+    /// The nonzero components as `(index, value)`, ascending, or `None`
+    /// when dot products fold densely.
+    pub(crate) fn sparse_support(&self) -> Option<&[(u32, f32)]> {
+        self.support.as_deref()
+    }
+
+    /// The nonzero components of `values`, sized to their count, or
     /// `None` when `metric` folds densely: Euclidean, or more than half
     /// of the components nonzero.
-    fn support(metric: Metric, values: &[f32]) -> Option<Vec<(usize, f32)>> {
+    fn support(metric: Metric, values: &[f32]) -> Option<Vec<(u32, f32)>> {
         if metric == Metric::Euclidean {
             return None;
         }
-        let mut support = Vec::with_capacity(values.len() / 2);
+        let nonzeros = values.iter().filter(|&&x| x != 0.0).count();
+        if nonzeros * 2 > values.len() {
+            return None;
+        }
+        let mut support = Vec::with_capacity(nonzeros);
         for (j, &x) in values.iter().enumerate() {
             if x != 0.0 {
-                if (support.len() + 1) * 2 > values.len() {
-                    return None;
-                }
-                support.push((j, x));
+                support.push((j as u32, x));
             }
         }
         Some(support)
@@ -128,31 +164,44 @@ impl<'a> Query<'a> {
     /// Panics if `candidate` and the query differ in length.
     pub(crate) fn score(&self, candidate: &[f32], candidate_norm: f32) -> f32 {
         assert_eq!(self.values.len(), candidate.len(), "dimension mismatch");
+        let sparse = self.support.as_ref().map(|support| {
+            support
+                .iter()
+                .map(|&(j, x)| x * candidate[j as usize])
+                .sum::<f32>()
+        });
+        self.finish(sparse, candidate, candidate_norm)
+    }
+
+    /// Turns `sparse`, the sum of `q[j] * v[j]` over the support (`None`
+    /// when the query folds densely), into the score of `candidate`,
+    /// whose L2 norm is `candidate_norm`.
+    pub(crate) fn finish(
+        &self,
+        sparse: Option<f32>,
+        candidate: &[f32],
+        candidate_norm: f32,
+    ) -> f32 {
         match self.metric {
             Metric::Cosine => {
                 if self.norm == 0.0 || candidate_norm == 0.0 {
                     return 0.0;
                 }
-                let dot = self.dot(candidate, candidate_norm);
+                let dot = self.dot(sparse, candidate, candidate_norm);
                 (dot / (self.norm * candidate_norm)).clamp(-1.0, 1.0)
             }
-            Metric::InnerProduct => self.dot(candidate, candidate_norm),
+            Metric::InnerProduct => self.dot(sparse, candidate, candidate_norm),
             Metric::Euclidean => -similarity::euclidean(self.values, candidate),
         }
     }
 
-    /// `similarity::dot(query, candidate)`, folded over the query's
-    /// support when that is exact.
-    fn dot(&self, candidate: &[f32], candidate_norm: f32) -> f32 {
-        if let Some(support) = &self.support {
-            if self.norm.is_finite() && candidate_norm.is_finite() {
-                let sparse: f32 = support.iter().map(|&(j, x)| x * candidate[j]).sum();
-                if sparse != 0.0 {
-                    return sparse;
-                }
-            }
+    /// `similarity::dot(query, candidate)`: the sparse sum when that is
+    /// exact, else the dense fold.
+    fn dot(&self, sparse: Option<f32>, candidate: &[f32], candidate_norm: f32) -> f32 {
+        match sparse {
+            Some(sum) if sum != 0.0 && self.norm.is_finite() && candidate_norm.is_finite() => sum,
+            _ => similarity::dot(self.values, candidate),
         }
-        similarity::dot(self.values, candidate)
     }
 }
 

@@ -649,8 +649,11 @@ proptest! {
 
     /// Flat, IVF probing every cell and HNSW at maximum `ef_search` each
     /// return the same `(id, score bits)` as a dense reference scan of the
-    /// live vectors: before any removal, with tombstones, and after the
-    /// removals trip compaction.
+    /// live vectors: before any removal, with tombstones, after the
+    /// removals trip compaction, and after fresh vectors are added to
+    /// indexes that have already been searched. One prepared query
+    /// searched on every index, and on an index of another metric, gives
+    /// the same bits as a plain search of each.
     #[test]
     fn indexes_rank_bit_identically_to_a_dense_scan(
         seed in 0u64..1_000_000,
@@ -680,18 +683,28 @@ proptest! {
             HnswParams { m: 4, ef_construction: 16, ef_search: n, seed },
             &refs,
         ).unwrap();
+        let other_metric = METRICS[(metric_ix + 1) % 3];
+        let other = flat_from(dim, other_metric, &live);
         let queries: Vec<Vec<f32>> = (0..8)
             .map(|i| kernel_pair(&mut rng, i % 4, dim, true).1)
             .chain(live.iter().take(4).map(|(_, v)| v.clone()))
             .collect();
 
-        // 5 removals stay below the compaction threshold; 10 trip it.
-        for removals in [0usize, 5, 10] {
+        // 5 removals stay below the compaction threshold; 10 trip it;
+        // then 6 fresh vectors arrive, as a live catalog registers tools.
+        for (removals, added) in [(0usize, 0u64), (5, 0), (10, 0), (10, 6)] {
             while n - live.len() < removals {
                 let (id, _) = live.remove(rng.random_range(0..live.len()));
                 flat.remove(id).unwrap();
                 ivf.remove(id).unwrap();
                 hnsw.remove(id).unwrap();
+            }
+            for id in n as u64..n as u64 + added {
+                let (v, _) = kernel_pair(&mut rng, (id % 4) as usize, dim, true);
+                flat.add(id, &v).unwrap();
+                ivf.add(id, &v).unwrap();
+                hnsw.add(id, &v).unwrap();
+                live.push((id, v));
             }
             let compacted = removals == 10;
             prop_assert_eq!(flat.tombstones().is_empty(), removals == 0 || compacted);
@@ -699,18 +712,27 @@ proptest! {
             prop_assert_eq!(hnsw.tombstones().is_empty(), removals == 0 || compacted);
             for q in &queries {
                 let want = dense_top_k(metric, &live, q, 12);
+                let prepared = metric.prepare(q);
                 let got = [
                     hit_bits(&flat.search(q, 12)),
                     hit_bits(&ivf.search(q, 12)),
                     hit_bits(&hnsw.search(q, 12)),
+                    hit_bits(&flat.search_prepared(&prepared, 12)),
+                    hit_bits(&ivf.search_prepared(&prepared, 12)),
+                    hit_bits(&hnsw.search_prepared(&prepared, 12)),
                 ];
-                for (name, hits) in ["flat", "ivf", "hnsw"].iter().zip(&got) {
+                let names = ["flat", "ivf", "hnsw", "flat prepared", "ivf prepared", "hnsw prepared"];
+                for (name, hits) in names.iter().zip(&got) {
                     prop_assert!(
                         *hits == want,
-                        "{} ({}, {} removed): {:?} != dense {:?}",
-                        name, metric, removals, hits, want
+                        "{} ({}, {} removed, {} added): {:?} != dense {:?}",
+                        name, metric, removals, added, hits, want
                     );
                 }
+                prop_assert!(
+                    hit_bits(&other.search_prepared(&prepared, 12)) == hit_bits(&other.search(q, 12)),
+                    "a query prepared for {} searched on a {} index", metric, other_metric
+                );
             }
         }
     }

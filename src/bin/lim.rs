@@ -895,6 +895,14 @@ fn cmd_snapshot_inspect(options: &Options) -> ExitCode {
 fn cmd_loadgen(options: &Options) -> ExitCode {
     use lessismore::workloads::trace::{zipf_trace, TraceConfig};
 
+    let arrivals = options
+        .admission
+        .arrivals
+        .unwrap_or(ArrivalProcess::BackToBack);
+    if let Err(e) = options.energy.governor().check_arrivals(arrivals) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let workload = match build_workload(options) {
         Ok(w) => w,
         Err(e) => {
@@ -909,10 +917,7 @@ fn cmd_loadgen(options: &Options) -> ExitCode {
             sessions: options.sessions,
             requests_per_session: options.requests,
             zipf_s: options.zipf,
-            arrivals: options
-                .admission
-                .arrivals
-                .unwrap_or(ArrivalProcess::BackToBack),
+            arrivals,
             tenants: options.tenants,
             tenant_skew: options.tenant_skew,
         },
@@ -1029,6 +1034,10 @@ fn cmd_serve(options: &Options) -> ExitCode {
         Some(process) => trace.with_arrivals(process),
         None => trace,
     };
+    if let Err(e) = options.energy.governor().check_arrivals(trace.arrivals) {
+        eprintln!("error: {path}: {e}");
+        return ExitCode::FAILURE;
+    }
     // The engine config (policy/model/quant) still comes from flags; if
     // the document carries the generation-time config, flag divergence is
     // called out so reports are never silently non-comparable.
@@ -1190,6 +1199,11 @@ fn serve_wire_stream<W: std::io::Write>(
             }
         }
     };
+    // A governed engine cannot act on a back-to-back stream: refuse it
+    // rather than serve it ungoverned.
+    if let Err(e) = options.energy.governor().check_arrivals(hello.arrivals) {
+        bail!(e.to_string());
+    }
 
     // The hello's recorded workload drives the engine build — exactly
     // like `lim serve --trace` rebuilds the generation-time workload

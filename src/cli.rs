@@ -570,10 +570,11 @@ pub fn help_text() -> String {
      --servers N (simulated executors draining the admission queue)\n  \
      --power-cap-w W (sustained-watts cap for the energy governor; the engine\n  \
      steps service down to an economy quantization when the sliding window\n  \
-     would breach the cap and back up with hysteresis; 0 = ungoverned)\n  \
+     would breach the cap and back up with hysteresis; 0 = ungoverned; needs an\n  \
+     open-loop stream: a back-to-back one is rejected)\n  \
      --carbon-trace SEED (seed for the deterministic grid carbon-intensity trace)\n  \
      --carbon-budget G (grams CO2 per hour the governor holds the window under;\n  \
-     0 = no carbon cap)\n  \
+     0 = no carbon cap; open-loop streams only, like --power-cap-w)\n  \
      --save-trace FILE (loadgen)  --trace FILE (serve/wire)  --out BENCH_serve_1.json\n  \
      --churn N (loadgen: stamp N live tool registrations + N retirements onto the\n  \
      trace at seeded positions; retires never touch tools the gold labels need)\n  \

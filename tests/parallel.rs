@@ -2,9 +2,9 @@
 //! policy, benchmark and thread count, the parallel path produces results
 //! bit-identical to the sequential path through the public facade.
 
-use lessismore::core::{
-    evaluate, evaluate_parallel, shard_bounds, sharded_map, Pipeline, Policy, SearchLevels,
-};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use lessismore::core::{evaluate, evaluate_parallel, sharded_map, Pipeline, Policy, SearchLevels};
 use lessismore::llm::{ModelProfile, Quant};
 use lessismore::workloads::{bfcl, geoengine};
 
@@ -60,7 +60,38 @@ fn sharding_utilities_compose_through_the_facade() {
     let items: Vec<u64> = (0..57).collect();
     let out = sharded_map(&items, 0, |ix, &x| x * 3 + ix as u64);
     assert_eq!(out, items.iter().map(|&x| x * 4).collect::<Vec<u64>>());
-    let bounds = shard_bounds(230, 8);
-    assert_eq!(bounds.len(), 8);
-    assert_eq!(bounds.iter().map(std::ops::Range::len).sum::<usize>(), 230);
+}
+
+#[test]
+fn sharded_map_is_the_sequential_map_under_skewed_costs() {
+    // A serving drain's selection jobs differ about 10x in cost; these
+    // differ 200x, bunched at the front and scattered, so workers claim
+    // uneven shares of the batch.
+    let work = |ix: usize, x: u64| {
+        let rounds = if ix < 9 || ix % 7 == 0 { 20_000 } else { 100 };
+        (0..rounds).fold(x, |h, r| std::hint::black_box(h.rotate_left(5) ^ r))
+    };
+    for n in [0usize, 1, 4, 5, 97, 230] {
+        let items: Vec<u64> = (0..n as u64).map(|x| x * 0x9e37_79b9).collect();
+        let sequential: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(ix, &x)| work(ix, x))
+            .collect();
+        for threads in 1..=8 {
+            let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = sharded_map(&items, threads, |ix, &x| {
+                calls[ix].fetch_add(1, Ordering::Relaxed);
+                work(ix, x)
+            });
+            assert_eq!(out, sequential, "n={n} threads={threads}");
+            for (ix, count) in calls.iter().enumerate() {
+                assert_eq!(
+                    count.load(Ordering::Relaxed),
+                    1,
+                    "item {ix} of {n}, threads={threads}"
+                );
+            }
+        }
+    }
 }
